@@ -320,31 +320,6 @@ func AnyContainsWords(arena []uint64, bOff, stride int, idxs []int32) bool {
 	return false
 }
 
-// SumContainedWords is the fused contains+accumulate sweep: it sums
-// freqs[k] over every k whose row idxs[k] is contained in the row at
-// aOff, accumulating in slice order (k ascending) so callers that keep
-// idxs in a canonical order get a bit-deterministic float sum.
-// freqs is parallel to idxs (freqs[k] weighs row idxs[k]).
-func SumContainedWords(arena []uint64, aOff, stride int, idxs []int32, freqs []float64) float64 {
-	sum := 0.0
-	if stride == 1 {
-		a := arena[aOff]
-		for k, idx := range idxs {
-			w := arena[idx]
-			if a&w == w {
-				sum += freqs[k]
-			}
-		}
-		return sum
-	}
-	for k, idx := range idxs {
-		if ContainsWords(arena, aOff, int(idx)*stride, stride) {
-			sum += freqs[k]
-		}
-	}
-	return sum
-}
-
 // String renders the bit sequence as a string of '0' and '1', leftmost
 // position first, exactly as printed in the paper's figures.
 func (b *Bitset) String() string {

@@ -57,10 +57,8 @@ func TestWordsAgainstBitsets(t *testing.T) {
 		sets := randomSets(rng, width, 24)
 		arena, stride := buildArena(t, sets)
 		idxs := make([]int32, len(sets))
-		freqs := make([]float64, len(sets))
 		for i := range sets {
 			idxs[i] = int32(i)
-			freqs[i] = float64(i + 1)
 		}
 		for i, a := range sets {
 			for j, b := range sets {
@@ -94,33 +92,6 @@ func TestWordsAgainstBitsets(t *testing.T) {
 					t.Fatalf("width %d: AnyContainsWords(%d, idxs[%d:])=%v, want %v", width, i, lo, got, wantRev)
 				}
 			}
-			wantSum := 0.0
-			for k, b := range sets {
-				if a.ContainsOrEqual(b) {
-					wantSum += freqs[k]
-				}
-			}
-			if got := SumContainedWords(arena, i*stride, stride, idxs, freqs); got != wantSum {
-				t.Fatalf("width %d: SumContainedWords(%d)=%v, want %v", width, i, got, wantSum)
-			}
 		}
-	}
-}
-
-// TestSumContainedWordsOrder pins the accumulation order: the sum is
-// taken in idxs slice order, so a permuted candidate list may change
-// the last bits — callers rely on passing a canonical order.
-func TestSumContainedWordsOrder(t *testing.T) {
-	all := MustFromString("1111")
-	sets := []*Bitset{all, all, all}
-	arena, stride := buildArena(t, sets)
-	freqs := []float64{0.1, 0.2, 0.3}
-	got := SumContainedWords(arena, 0, stride, []int32{0, 1, 2}, freqs)
-	want := 0.0
-	for _, f := range freqs {
-		want += f
-	}
-	if got != want {
-		t.Fatalf("sum %v, want the slice-order sum %v", got, want)
 	}
 }

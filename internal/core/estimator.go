@@ -101,13 +101,14 @@ func (e *Estimator) Estimate(p *xpath.Path) (float64, error) {
 	var est float64
 	switch len(tree.Edges) {
 	case 0:
-		est, err = e.noOrder(tree, fullInclude(tree), tree.Target)
+		est, err = e.noOrder(nil, tree, fullInclude(tree), tree.Target)
 	case 1:
+		m := &joinMemo{}
 		edge := tree.Edges[0]
 		if !edge.SiblingOnly {
-			est, err = e.convertAndEstimate(tree, p, edge)
+			est, err = e.convertAndEstimate(m, tree, p, edge)
 		} else {
-			est, err = e.orderEstimate(tree, edge)
+			est, err = e.orderEstimate(m, tree, edge)
 		}
 	default:
 		return 0, fmt.Errorf("core: queries with multiple order axes are not supported: %w", guard.ErrMalformedQuery)
@@ -116,6 +117,53 @@ func (e *Estimator) Estimate(p *xpath.Path) (float64, error) {
 		return 0, err
 	}
 	return e.clampToTag(tree.Target.Tag, est), nil
+}
+
+// joinMemo holds the path joins of one Estimate call. The order
+// formulas join the same (tree, included-node set) several times —
+// Equation (5) takes S_Q of the target and S_Q⃗ of both siblings, each
+// sibling's Equation (3) joins Q⃗′ twice, and the preceding/following
+// cap rejoins the whole tree — and a join is a pure function of the
+// two, so a repeat returns the first result. A nil memo joins every
+// time: queries without an order edge repeat no join.
+type joinMemo struct {
+	done []memoJoin
+}
+
+type memoJoin struct {
+	tree *xpath.Tree
+	inc  includeSet
+	res  joinResult
+}
+
+// join returns pathJoin(k, tree, inc), joining at most once per
+// distinct (tree, node set) in m. Callers only read the result.
+func (m *joinMemo) join(k *kernel, tree *xpath.Tree, inc includeSet) (joinResult, error) {
+	if m == nil {
+		return pathJoin(k, tree, inc)
+	}
+	for i := range m.done {
+		if d := &m.done[i]; d.tree == tree && sameNodes(tree, d.inc, inc) {
+			return d.res, nil
+		}
+	}
+	res, err := pathJoin(k, tree, inc)
+	if err != nil {
+		return joinResult{}, err
+	}
+	m.done = append(m.done, memoJoin{tree: tree, inc: inc, res: res})
+	return res, nil
+}
+
+// sameNodes reports whether a and b select the same nodes of tree, a
+// nil set selecting all of them (pathJoin's reading).
+func sameNodes(tree *xpath.Tree, a, b includeSet) bool {
+	for _, n := range tree.Nodes {
+		if (a == nil || a[n]) != (b == nil || b[n]) {
+			return false
+		}
+	}
+	return true
 }
 
 // clampToTag caps an estimate at the target tag's total frequency: a
@@ -187,8 +235,8 @@ func (e *Estimator) SurvivingPids(p *xpath.Path) (map[*xpath.Step][]*bitset.Bits
 // noOrder estimates the target of the sub-query selected by inc,
 // ignoring order edges: Theorem 4.1 when the target is in the trunk
 // part, Equation (2) otherwise.
-func (e *Estimator) noOrder(tree *xpath.Tree, inc includeSet, target *xpath.TreeNode) (float64, error) {
-	joined, err := pathJoin(e.kern, tree, inc)
+func (e *Estimator) noOrder(m *joinMemo, tree *xpath.Tree, inc includeSet, target *xpath.TreeNode) (float64, error) {
+	joined, err := m.join(e.kern, tree, inc)
 	if err != nil {
 		return 0, err
 	}
@@ -200,7 +248,7 @@ func (e *Estimator) noOrder(tree *xpath.Tree, inc includeSet, target *xpath.Tree
 		// Equation (2): Q′ keeps only the target's root chain and its
 		// own subtree; ni is the deepest trunk node above the target.
 		incQ := chainPlusSubtree(inc, target)
-		joinedQ, err := pathJoin(e.kern, tree, incQ)
+		joinedQ, err := m.join(e.kern, tree, incQ)
 		if err != nil {
 			return 0, err
 		}
@@ -290,7 +338,7 @@ func deepestTrunkNode(n *xpath.TreeNode, inc includeSet) *xpath.TreeNode {
 
 // orderEstimate handles Q⃗ = q1[/q2/folls::q3] (and pres::): the
 // single sibling-only order edge of the query tree.
-func (e *Estimator) orderEstimate(tree *xpath.Tree, edge xpath.OrderEdge) (float64, error) {
+func (e *Estimator) orderEstimate(m *joinMemo, tree *xpath.Tree, edge xpath.OrderEdge) (float64, error) {
 	target := tree.Target
 	inc := fullInclude(tree)
 
@@ -298,26 +346,26 @@ func (e *Estimator) orderEstimate(tree *xpath.Tree, edge xpath.OrderEdge) (float
 	case target == edge.Before || target == edge.After:
 		// Equation (3).
 		e.tracef("order query, target %s is a sibling node: Equation (3)", target.Tag)
-		return e.siblingEstimate(tree, inc, edge, target)
+		return e.siblingEstimate(m, tree, inc, edge, target)
 	case strictDescendantOf(target, edge.Before):
 		// Equation (4) through the q2-side sibling.
 		e.tracef("order query, target %s below sibling node %s: Equation (4)", target.Tag, edge.Before.Tag)
-		return e.deepBranchEstimate(tree, inc, edge, edge.Before, target)
+		return e.deepBranchEstimate(m, tree, inc, edge, edge.Before, target)
 	case strictDescendantOf(target, edge.After):
 		e.tracef("order query, target %s below sibling node %s: Equation (4)", target.Tag, edge.After.Tag)
-		return e.deepBranchEstimate(tree, inc, edge, edge.After, target)
+		return e.deepBranchEstimate(m, tree, inc, edge, edge.After, target)
 	default:
 		// Equation (5): target in the trunk part.
 		e.tracef("order query, target %s in the trunk part: Equation (5)", target.Tag)
-		sq, err := e.noOrder(tree, inc, target)
+		sq, err := e.noOrder(m, tree, inc, target)
 		if err != nil {
 			return 0, err
 		}
-		sBefore, err := e.siblingEstimate(tree, inc, edge, edge.Before)
+		sBefore, err := e.siblingEstimate(m, tree, inc, edge, edge.Before)
 		if err != nil {
 			return 0, err
 		}
-		sAfter, err := e.siblingEstimate(tree, inc, edge, edge.After)
+		sAfter, err := e.siblingEstimate(m, tree, inc, edge, edge.After)
 		if err != nil {
 			return 0, err
 		}
@@ -337,7 +385,7 @@ func (e *Estimator) orderEstimate(tree *xpath.Tree, edge xpath.OrderEdge) (float
 // is read exactly from the path-order summary over sib's surviving
 // path ids after the join on Q′, and the two no-order selectivities
 // come from the Section 4 estimator.
-func (e *Estimator) siblingEstimate(tree *xpath.Tree, inc includeSet, edge xpath.OrderEdge, sib *xpath.TreeNode) (float64, error) {
+func (e *Estimator) siblingEstimate(m *joinMemo, tree *xpath.Tree, inc includeSet, edge xpath.OrderEdge, sib *xpath.TreeNode) (float64, error) {
 	other := edge.Before
 	region := stats.Before // sib occurs before other
 	if sib == edge.Before {
@@ -348,7 +396,7 @@ func (e *Estimator) siblingEstimate(tree *xpath.Tree, inc includeSet, edge xpath
 	}
 
 	incSimpl := withoutSubtree(inc, other)
-	joinedSimpl, err := pathJoin(e.kern, tree, incSimpl)
+	joinedSimpl, err := m.join(e.kern, tree, incSimpl)
 	if err != nil {
 		return 0, err
 	}
@@ -360,14 +408,14 @@ func (e *Estimator) siblingEstimate(tree *xpath.Tree, inc includeSet, edge xpath
 		return 0, nil
 	}
 
-	sqSimpl, err := e.noOrder(tree, incSimpl, sib)
+	sqSimpl, err := e.noOrder(m, tree, incSimpl, sib)
 	if err != nil {
 		return 0, err
 	}
 	if sqSimpl == 0 {
 		return 0, nil
 	}
-	sq, err := e.noOrder(tree, inc, sib)
+	sq, err := e.noOrder(m, tree, inc, sib)
 	if err != nil {
 		return 0, err
 	}
@@ -381,19 +429,19 @@ func (e *Estimator) siblingEstimate(tree *xpath.Tree, inc includeSet, edge xpath
 // the sibling node sib:
 //
 //	S_Q⃗(n) ≈ S_Q(n) · S_Q⃗′(sib) / S_Q′(sib)
-func (e *Estimator) deepBranchEstimate(tree *xpath.Tree, inc includeSet, edge xpath.OrderEdge, sib, target *xpath.TreeNode) (float64, error) {
-	sq, err := e.noOrder(tree, inc, target)
+func (e *Estimator) deepBranchEstimate(m *joinMemo, tree *xpath.Tree, inc includeSet, edge xpath.OrderEdge, sib, target *xpath.TreeNode) (float64, error) {
+	sq, err := e.noOrder(m, tree, inc, target)
 	if err != nil {
 		return 0, err
 	}
 	if sq == 0 {
 		return 0, nil
 	}
-	sSib, err := e.siblingEstimate(tree, inc, edge, sib)
+	sSib, err := e.siblingEstimate(m, tree, inc, edge, sib)
 	if err != nil {
 		return 0, err
 	}
-	sqSib, err := e.noOrder(tree, inc, sib)
+	sqSib, err := e.noOrder(m, tree, inc, sib)
 	if err != nil {
 		return 0, err
 	}
@@ -416,7 +464,7 @@ func (e *Estimator) deepBranchEstimate(tree *xpath.Tree, inc includeSet, edge xp
 // selectivities are summed; for targets outside the order node's
 // branch the sum is capped by the no-order estimate (imposing order
 // cannot increase selectivity).
-func (e *Estimator) convertAndEstimate(tree *xpath.Tree, p *xpath.Path, edge xpath.OrderEdge) (float64, error) {
+func (e *Estimator) convertAndEstimate(memo *joinMemo, tree *xpath.Tree, p *xpath.Path, edge xpath.OrderEdge) (float64, error) {
 	// The rewritten node is the endpoint whose original step used the
 	// following/preceding axis: the After endpoint for following, the
 	// Before endpoint for preceding.
@@ -433,7 +481,7 @@ func (e *Estimator) convertAndEstimate(tree *xpath.Tree, p *xpath.Path, edge xpa
 		return 0, fmt.Errorf("core: preceding/following cannot be anchored at the document root: %w", guard.ErrMalformedQuery)
 	}
 
-	joined, err := pathJoin(e.kern, tree, nil)
+	joined, err := memo.join(e.kern, tree, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -468,7 +516,7 @@ func (e *Estimator) convertAndEstimate(tree *xpath.Tree, p *xpath.Path, edge xpa
 
 	targetInBranch := tree.Target == m || strictDescendantOf(tree.Target, m)
 	if !targetInBranch {
-		cap, err := e.noOrder(tree, fullInclude(tree), tree.Target)
+		cap, err := e.noOrder(memo, tree, fullInclude(tree), tree.Target)
 		if err != nil {
 			return 0, err
 		}
