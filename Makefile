@@ -10,7 +10,7 @@ GOVULNCHECK_VERSION = v1.1.4
 
 XPESTLINT = bin/xpestlint
 
-.PHONY: all build test vet lint lint-budget lint-fixtures lint-audit lint-audit-check perfgate vuln race race-hot cover bench bench-json bench-check fuzz fuzz-smoke difftest-smoke difftest-edits difftest-nightly difftest-nightly-edits chaos chaos-smoke ci experiments examples clean
+.PHONY: all build test vet lint lint-budget lint-fixtures lint-audit lint-audit-check perfgate perfbench-vet vuln race race-hot cover bench bench-json bench-check fuzz fuzz-smoke difftest-smoke difftest-edits difftest-nightly difftest-nightly-edits chaos chaos-smoke ci experiments examples clean
 
 all: build vet lint test
 
@@ -19,10 +19,17 @@ all: build vet lint test
 # `vet` step would be redundant: xpestlint bundles the standard vet
 # suite, so the lint steps already run it (make vet stays for local
 # use).
-ci: build lint-budget lint-fixtures lint-audit-check perfgate race-hot race fuzz-smoke difftest-smoke difftest-edits chaos-smoke cover
+ci: build perfbench-vet lint-budget lint-fixtures lint-audit-check perfgate race-hot race fuzz-smoke difftest-smoke difftest-edits chaos-smoke cover
 
 build:
 	$(GO) build ./...
+
+# perfbench/ is a separate module over the internal packages
+# (core, xpath, histogram, stats, server), so `go build ./...` never
+# compiles it. Vet it and compile its tests, running none, so an
+# internal signature change fails here instead of in a benchmark run.
+perfbench-vet:
+	cd perfbench && $(GO) vet ./... && $(GO) test -run '^$$' .
 
 vet:
 	$(GO) vet ./...
@@ -123,14 +130,15 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Focused -race pass over the concurrency hot paths added by the join
-# kernel and the batch API: the columnar snapshot and witness arena of
-# the kernel, the plan cache / in-flight dedup of the server, the
-# estimate result cache (TestEstimateCacheHammer in the root package
-# drives concurrent Get/Put/EstimateQuery across epochs and scopes),
-# and EstimateBatch itself — plus the differential harness, whose
-# cold/warmed/batch/cached estimator comparison hammers the kernel's
-# copy-on-write publication from concurrent seed workers.
+# Focused -race pass over the concurrency hot paths of the join kernel
+# and the batch API: the kernel's columnar snapshot and witness table
+# (TestWitTableConcurrent checks its slots are filled before they are
+# published), the server's plan cache, the estimate result cache
+# (TestEstimateCacheHammer in the root package drives concurrent
+# Get/Put/EstimateQuery across epochs and scopes), and EstimateBatch —
+# plus the differential harness, whose cold/warmed/batch/cached
+# estimator comparison hammers the kernel's atomic publication of the
+# snapshot and witness slots from concurrent seed workers.
 race-hot:
 	$(GO) test -race . ./internal/core ./internal/pathenc ./internal/server ./internal/difftest
 

@@ -11,35 +11,43 @@ import (
 	"xpathest/internal/xpath"
 )
 
-// Query is a compiled query: parsed and validated once, reusable for
-// any number of estimations against any summary. It is immutable and
-// safe for concurrent use — estimation only reads the parsed form —
-// which is what makes it the unit of the serving layer's plan cache.
+// Query is a compiled query: parsed, validated and built into its
+// query tree once, reusable for any number of estimations against any
+// summary. It is immutable and safe for concurrent use — estimation
+// only reads the tree — which is what makes it the unit of the
+// serving layer's plan cache.
 type Query struct {
-	p    *xpath.Path
+	tree *xpath.Tree
 	text string
 }
 
-// CompileQuery parses and validates a query string against the
-// supported fragment.
+// CompileQuery parses a query string, validates it against the
+// supported fragment and builds its query tree. A query that parses
+// but has no query tree (an order axis the paper's standardized shape
+// cannot anchor, such as //a//b/folls::c) fails here, with the same
+// ErrMalformedQuery-wrapped error estimation would return.
 func CompileQuery(query string) (*Query, error) {
 	p, err := xpath.Parse(query)
 	if err != nil {
 		return nil, err
 	}
-	return &Query{p: p, text: p.String()}, nil
+	t, err := xpath.BuildTree(p)
+	if err != nil {
+		return nil, err
+	}
+	return &Query{tree: t, text: p.String()}, nil
 }
 
 // String returns the query's canonical form.
 func (q *Query) String() string { return q.text }
 
 // EstimateQuery estimates a compiled query, skipping the per-call
-// parse of Estimate.
+// parse and tree build of Estimate.
 func (s *Summary) EstimateQuery(q *Query) (float64, error) {
 	if q == nil {
 		return 0, fmt.Errorf("xpathest: nil query: %w", guard.ErrInvalidArgument)
 	}
-	return s.est.Estimate(q.p)
+	return s.est.EstimateTree(q.tree)
 }
 
 // EstimateQueryContext is EstimateQuery with a cancellation check and
@@ -54,7 +62,7 @@ func (s *Summary) EstimateQueryContext(ctx context.Context, q *Query) (float64, 
 	var v float64
 	err := guard.Safe("estimate", func() error {
 		var err error
-		v, err = s.est.Estimate(q.p)
+		v, err = s.est.EstimateTree(q.tree)
 		return err
 	})
 	return v, err

@@ -33,7 +33,6 @@ func cmdServe(args []string) error {
 	sumBytes := fs.Int64("max-summary-bytes", def.MaxSummaryBytes, "max summary stream bytes (0 = unlimited)")
 	queryLen := fs.Int("max-query-len", def.MaxQueryLen, "max query length in bytes (0 = unlimited)")
 	batchQueries := fs.Int("max-batch-queries", def.MaxBatchQueries, "max queries per /estimate/batch request (0 = unlimited)")
-	planCache := fs.Int("plan-cache", 1024, "compiled-query LRU cache size")
 	resultCache := fs.Int64("result-cache-bytes", 4<<20, "byte budget for the epoch-keyed estimate result cache (negative = disabled)")
 
 	readRetries := fs.Int("store-read-retries", 2, "extra summary read attempts before a load fails")
@@ -65,7 +64,6 @@ func cmdServe(args []string) error {
 			MaxQueryLen:      *queryLen,
 			MaxBatchQueries:  *batchQueries,
 		},
-		PlanCacheSize:    *planCache,
 		ResultCacheBytes: *resultCache,
 		RequestTimeout:   *timeout,
 		DrainTimeout:     *drain,

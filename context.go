@@ -89,31 +89,7 @@ func (d *Document) BuildSummaryContext(ctx context.Context, opts SummaryOptions)
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Summary{opts: opts, lab: d.lab, tree: d.tree, src: d, epoch: d.Epoch()}
-	n := d.lab.NumDistinct()
-	pv, ov := opts.PVariance, opts.OVariance
-	if opts.Exact {
-		pv, ov = 0, 0
-	}
-	ps, err := histogramBuildPContext(ctx, d.tables, n, pv)
-	if err != nil {
-		return nil, err
-	}
-	os, err := histogramBuildOContext(ctx, d.tables, ps, n, ov)
-	if err != nil {
-		return nil, err
-	}
-	s.ps, s.os = ps, os
-	if opts.Exact {
-		s.est = core.New(d.lab, core.TableSource{Tables: d.tables})
-		s.pBytes = d.tables.Freq.SizeBytes(pidRefBytes(n))
-		s.oBytes = d.tables.Order.SizeBytes(pidRefBytes(n))
-	} else {
-		s.est = core.New(d.lab, core.HistogramSource{P: ps, O: os})
-		s.pBytes = ps.SizeBytes()
-		s.oBytes = os.SizeBytes()
-	}
-	return s, nil
+	return d.buildSummary(ctx, opts)
 }
 
 // ExactCountContext is ExactCount honoring cancellation at the
@@ -176,11 +152,11 @@ func SummarizeStreamContext(ctx context.Context, opener func() (io.ReadCloser, e
 	if opts.Exact {
 		pv, ov = 0, 0
 	}
-	ps, err := histogramBuildPContext(ctx, tables, n, pv)
+	ps, err := histogram.BuildPSetContext(ctx, tables.Freq, n, pv)
 	if err != nil {
 		return nil, err
 	}
-	os, err := histogramBuildOContext(ctx, tables, ps, n, ov)
+	os, err := histogram.BuildOSetContext(ctx, tables.Order, ps, n, ov)
 	if err != nil {
 		return nil, err
 	}
@@ -239,6 +215,8 @@ func summaryFromDecoded(ctx context.Context, lab *pathenc.Labeling, ps *histogra
 	}
 	tree, err := pidtree.Build(lab.Distinct())
 	if err != nil {
+		// The distinct-pid list came from the decoded stream: a list the
+		// tree rejects means the stream was corrupt, not an internal bug.
 		return nil, fmt.Errorf("xpathest: %v: %w", err, guard.ErrCorruptSummary)
 	}
 	s := &Summary{

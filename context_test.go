@@ -196,4 +196,9 @@ func TestSummarizeStreamContext(t *testing.T) {
 	if !errors.Is(err, ErrLimitExceeded) {
 		t.Fatalf("got %v, want ErrLimitExceeded", err)
 	}
+	// A negative threshold is an argument error on the plain route too:
+	// it shares the Context route's body, Validate included.
+	if _, err := SummarizeStream(opener, SummaryOptions{OVariance: -1}); !errors.Is(err, ErrInvalidArgument) {
+		t.Fatalf("negative variance: got %v, want ErrInvalidArgument", err)
+	}
 }

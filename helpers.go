@@ -1,28 +1,20 @@
 package xpathest
 
 import (
-	"context"
 	"io"
 
 	"xpathest/internal/histogram"
 	"xpathest/internal/interval"
 	"xpathest/internal/pathenc"
 	"xpathest/internal/poshist"
-	"xpathest/internal/stats"
 	"xpathest/internal/summaryio"
 	"xpathest/internal/workload"
 	"xpathest/internal/xpath"
 	"xpathest/internal/xsketch"
 )
 
-func parseQuery(q string) (*xpath.Path, error) { return xpath.Parse(q) }
-
 func summaryEncode(w io.Writer, lab *pathenc.Labeling, ps *histogram.PSet, os *histogram.OSet) error {
 	return summaryio.Encode(w, lab.Table, lab.Distinct(), ps, os)
-}
-
-func summaryDecode(r io.Reader) (*pathenc.Labeling, *histogram.PSet, *histogram.OSet, error) {
-	return summaryDecodeLimited(r, 0)
 }
 
 func summaryDecodeLimited(r io.Reader, maxBytes int64) (*pathenc.Labeling, *histogram.PSet, *histogram.OSet, error) {
@@ -52,22 +44,6 @@ func pidRefBytes(numDistinct int) int {
 	return 4
 }
 
-func histogramBuildP(t *stats.Tables, n int, v float64) *histogram.PSet {
-	return histogram.BuildPSet(t.Freq, n, v)
-}
-
-func histogramBuildO(t *stats.Tables, ps *histogram.PSet, n int, v float64) *histogram.OSet {
-	return histogram.BuildOSet(t.Order, ps, n, v)
-}
-
-func histogramBuildPContext(ctx context.Context, t *stats.Tables, n int, v float64) (*histogram.PSet, error) {
-	return histogram.BuildPSetContext(ctx, t.Freq, n, v)
-}
-
-func histogramBuildOContext(ctx context.Context, t *stats.Tables, ps *histogram.PSet, n int, v float64) (*histogram.OSet, error) {
-	return histogram.BuildOSetContext(ctx, t.Order, ps, n, v)
-}
-
 // XSketchSummary wraps the reimplemented XSketch comparator so
 // examples and benchmarks can reproduce the paper's Figure 11
 // comparison through the public API.
@@ -83,7 +59,7 @@ func (d *Document) BuildXSketch(budgetBytes int) *XSketchSummary {
 
 // Estimate returns XSketch's selectivity estimate.
 func (x *XSketchSummary) Estimate(query string) (float64, error) {
-	p, err := parseQuery(query)
+	p, err := xpath.Parse(query)
 	if err != nil {
 		return 0, err
 	}
@@ -111,7 +87,7 @@ func (d *Document) BuildPositionHistogram(gridSize int) *PositionHistogram {
 // Estimate returns the position histogram's selectivity estimate.
 // Order axes are not supported.
 func (p *PositionHistogram) Estimate(query string) (float64, error) {
-	q, err := parseQuery(query)
+	q, err := xpath.Parse(query)
 	if err != nil {
 		return 0, err
 	}

@@ -1,21 +1,27 @@
-// Package arenaalias enforces the slab-immutability half of the
-// columnar kernel's publication protocol. cowpublish freezes the value
-// an atomic.Pointer publishes; arenaalias freezes what that value
-// *contains*: witness bitmaps and arena rows carved out of a shared
-// chunk before publication, reachable afterwards only through the
-// published container. Two bug shapes from the kernel's history are
-// checked:
+// Package arenaalias checks two slab shapes within one function.
+// cowpublish freezes the value an atomic.Pointer publishes; arenaalias
+// freezes the slabs that were stored into that value before it was
+// published:
 //
-//  1. Fill-after-publish. A slice carved from the witness chunk is
-//     stored into the copy-on-write map (`next[key] = bits`), the map
-//     is published via atomic.Pointer.Store, and then the *slice* is
-//     written (`bits[i] |= mask`). cowpublish cannot see this — the
-//     write goes through an alias that predates publication, not
-//     through the published variable — but lock-free readers already
-//     hold the slab, so it is the same data race. Retaining such an
-//     alias past publication (storing it into a field, map, or global)
-//     is flagged too: a retained writable alias is a race waiting for
-//     its write.
+//  1. Write after publish. A slab (a slice, pointer or map local) is
+//     stored into a local map or variable (`next[key] = bits`,
+//     `v.f = bits`, `*v = bits`, `append(v, bits)`), the same function
+//     then publishes that local with an atomic Pointer or Value Store,
+//     Swap or CompareAndSwap, and afterwards writes the slab through
+//     any local alias (`bits[i] |= mask`, append, clear, ++/--).
+//     cowpublish cannot see this — the write goes through an alias
+//     that predates publication, not through the published variable —
+//     but lock-free readers already hold the slab, so it is the same
+//     data race. Retaining such an alias past publication (storing it
+//     into a field, element, pointee or global) is flagged too: a
+//     retained writable alias is a race waiting for its write.
+//
+//     Only that shape is tracked. A slab placed in a composite literal
+//     (`&witEntry{bm: bits}`) and published by the same function, or
+//     published through a method (internal/core's witTable.add), is
+//     not: the kernel's witness table publishes its bitmaps that way,
+//     and its fill-before-publish is checked by TestWitTableConcurrent
+//     under -race (make race-hot), not by this analyzer.
 //
 //  2. Carve without a capacity clamp. Splitting a chunk as
 //     `bits, free = free[:n], free[n:]` leaves bits with capacity over

@@ -1,5 +1,7 @@
-// Seeded violations for the arenaalias analyzer: the carve-from-shared-
-// chunk bug shapes the columnar kernel's witness slabs are exposed to.
+// Seeded violations for the arenaalias analyzer: slabs written or
+// retained after the local map holding them is published, chunk
+// carves without a capacity clamp, and the publication shapes rule 1
+// does not track.
 package a
 
 import "sync/atomic"
@@ -12,9 +14,9 @@ type kernel struct {
 var scratch []uint64
 
 // fillAfterPublish is the canonical rule-1 violation: the slab slice is
-// stored into the copy-on-write map, the map is published, and then the
-// slab is written through the pre-publication alias — a write lock-free
-// readers can observe mid-flight.
+// stored into a local map, the map is published, and then the slab is
+// written through the pre-publication alias — a write lock-free readers
+// can observe mid-flight.
 func (k *kernel) fillAfterPublish(key string, n int) {
 	bits := make([]uint64, n)
 	next := map[string][]uint64{}
@@ -92,5 +94,36 @@ func (k *kernel) justified(key string, n int) {
 	next[key] = bits
 	k.wit.Store(&next)
 	//lint:ignore arenaalias slab is still private: the map pointer is not handed to readers until init returns
+	bits[0] |= 1
+}
+
+// witEntry and witTable mirror internal/core's witness table: a slot
+// publishes one immutable (key, bitmap) entry.
+type witEntry struct {
+	key uint64
+	bm  []uint64
+}
+
+type witTable struct {
+	slots []atomic.Pointer[witEntry]
+}
+
+func (t *witTable) add(i int, e *witEntry) { t.slots[i].Store(e) }
+
+// literalThenStore is not reported: the slab goes into a composite
+// literal, never into a local the function assigns, so rule 1 does not
+// count it as content of the published entry.
+func (t *witTable) literalThenStore(i int, key uint64, n int) {
+	bits := make([]uint64, n)
+	e := &witEntry{key: key, bm: bits}
+	t.slots[i].Store(e)
+	bits[0] |= 1
+}
+
+// publishViaMethod is not reported: the Store happens inside add, out
+// of this function's sight.
+func (t *witTable) publishViaMethod(i int, key uint64, n int) {
+	bits := make([]uint64, n)
+	t.add(i, &witEntry{key: key, bm: bits})
 	bits[0] |= 1
 }

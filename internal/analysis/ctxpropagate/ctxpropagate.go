@@ -8,8 +8,9 @@
 // client hang-up no longer stops the work done on its behalf.
 //
 // package main and _test.go files are exempt (they are where roots are
-// legitimately created). The documented compat wrappers of the
-// non-Context API carry //lint:ignore directives.
+// legitimately created). The non-Context entry points pass a nil
+// context to their Context twins (guard.CheckContext never cancels a
+// nil one) instead of minting a root.
 package ctxpropagate
 
 import (

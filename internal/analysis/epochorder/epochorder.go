@@ -159,7 +159,7 @@ func isCacheMethodDecl(info *types.Info, fn *ast.FuncDecl) bool {
 
 // collectForwarders finds package-local functions that pass an epoch
 // parameter into a direct cache call — one interprocedural hop, the
-// shape of the server's estimateShared.
+// shape of the server's estimateCached.
 func collectForwarders(pass *analysis.Pass) map[*types.Func]forwarder {
 	info := pass.TypesInfo
 	out := make(map[*types.Func]forwarder)

@@ -21,30 +21,35 @@ var joinBenchQueries = []string{
 }
 
 // joinBench builds one estimator over a generated SSPlays document and
-// parses the query set once, so the timed loop measures only the join.
-func joinBench(b *testing.B) (*Estimator, []*xpath.Path) {
+// builds the query trees once, so the timed loop measures only the
+// join.
+func joinBench(b *testing.B) (*Estimator, []*xpath.Tree) {
 	b.Helper()
 	doc := datagen.SSPlays(datagen.Config{Seed: 42, Scale: 0.05})
 	tbs := stats.Collect(doc, nil)
 	est := New(tbs.Labeling, TableSource{Tables: tbs})
-	paths := make([]*xpath.Path, len(joinBenchQueries))
+	trees := make([]*xpath.Tree, len(joinBenchQueries))
 	for i, q := range joinBenchQueries {
-		paths[i] = xpath.MustParse(q)
-		if _, err := est.RawJoinEstimate(paths[i]); err != nil {
+		t, err := xpath.BuildTree(xpath.MustParse(q))
+		if err != nil {
 			b.Fatalf("%s: %v", q, err)
 		}
+		if _, err := est.rawJoin(t); err != nil {
+			b.Fatalf("%s: %v", q, err)
+		}
+		trees[i] = t
 	}
-	return est, paths
+	return est, trees
 }
 
 // BenchmarkPathJoin measures the path-join fixpoint (paper §4) on its
 // own, without the order-estimation layers above it.
 func BenchmarkPathJoin(b *testing.B) {
-	est, paths := joinBench(b)
+	est, trees := joinBench(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := est.RawJoinEstimate(paths[i%len(paths)]); err != nil {
+		if _, err := est.rawJoin(trees[i%len(trees)]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -53,46 +58,50 @@ func BenchmarkPathJoin(b *testing.B) {
 // xmarkBench builds one estimator over the XMark document of datagen
 // seed 1 at scale 0.125 (310 root-to-leaf paths, so five-word rows,
 // and up to 387 entries per tag: the costliest document of the
-// read-cold benchmark) and a fixed workload.Random query set. Each
-// query is run once through run, which warms the witness slots and
-// the tree cache, and dropped when run rejects it.
-func xmarkBench(b *testing.B, run func(*Estimator, *xpath.Path) (float64, error)) (*Estimator, []*xpath.Path) {
+// read-cold benchmark) and the trees of a fixed workload.Random query
+// set. Each tree is run once through run, which warms the witness
+// slots, and dropped when run rejects it.
+func xmarkBench(b *testing.B, run func(*Estimator, *xpath.Tree) (float64, error)) (*Estimator, []*xpath.Tree) {
 	b.Helper()
 	tbs := stats.Collect(datagen.XMark(datagen.Config{Seed: 1, Scale: 0.125}), nil)
 	est := New(tbs.Labeling, TableSource{Tables: tbs})
-	var paths []*xpath.Path
+	var trees []*xpath.Tree
 	for _, p := range workload.Random(tbs.Labeling, workload.RandomConfig{Seed: 1, Num: 256}) {
-		if _, err := run(est, p); err == nil {
-			paths = append(paths, p)
+		t, err := xpath.BuildTree(p)
+		if err != nil {
+			continue
+		}
+		if _, err := run(est, t); err == nil {
+			trees = append(trees, t)
 		}
 	}
-	if len(paths) == 0 {
+	if len(trees) == 0 {
 		b.Fatal("no XMark query accepted")
 	}
-	return est, paths
+	return est, trees
 }
 
 // BenchmarkPathJoinXMark is BenchmarkPathJoin on multi-word rows: one
 // warm whole-query join per op, cycling over the XMark query set.
 func BenchmarkPathJoinXMark(b *testing.B) {
-	est, paths := xmarkBench(b, (*Estimator).RawJoinEstimate)
+	est, trees := xmarkBench(b, (*Estimator).rawJoin)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := est.RawJoinEstimate(paths[i%len(paths)]); err != nil {
+		if _, err := est.rawJoin(trees[i%len(trees)]); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkEstimateXMark is one warm Estimate per op over the same
+// BenchmarkEstimateXMark is one warm EstimateTree per op over the same
 // query set: the joins plus the Equation (2)–(5) layers above them.
 func BenchmarkEstimateXMark(b *testing.B) {
-	est, paths := xmarkBench(b, (*Estimator).Estimate)
+	est, trees := xmarkBench(b, (*Estimator).EstimateTree)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := est.Estimate(paths[i%len(paths)]); err != nil {
+		if _, err := est.EstimateTree(trees[i%len(trees)]); err != nil {
 			b.Fatal(err)
 		}
 	}

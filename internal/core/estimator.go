@@ -94,11 +94,21 @@ func (e *Estimator) EstimateString(query string) (float64, error) {
 // order-axis step (the standardized Q⃗ = q1[/q2/folls::q3] and its
 // preceding/following variants).
 func (e *Estimator) Estimate(p *xpath.Path) (float64, error) {
-	tree, err := e.kern.tree(p)
+	tree, err := xpath.BuildTree(p)
 	if err != nil {
 		return 0, err
 	}
-	var est float64
+	return e.EstimateTree(tree)
+}
+
+// EstimateTree is Estimate over a query tree already built from its
+// path. Trees are read-only here, so one tree may be estimated any
+// number of times, concurrently, against any estimator.
+func (e *Estimator) EstimateTree(tree *xpath.Tree) (float64, error) {
+	var (
+		est float64
+		err error
+	)
 	switch len(tree.Edges) {
 	case 0:
 		est, err = e.noOrder(nil, tree, fullInclude(tree), tree.Target)
@@ -106,7 +116,7 @@ func (e *Estimator) Estimate(p *xpath.Path) (float64, error) {
 		m := &joinMemo{}
 		edge := tree.Edges[0]
 		if !edge.SiblingOnly {
-			est, err = e.convertAndEstimate(m, tree, p, edge)
+			est, err = e.convertAndEstimate(m, tree, edge)
 		} else {
 			est, err = e.orderEstimate(m, tree, edge)
 		}
@@ -189,10 +199,15 @@ func (e *Estimator) clampToTag(tag string, est float64) float64 {
 // over-estimate that Example 4.3 illustrates. Exposed for ablation
 // studies of the branch correction.
 func (e *Estimator) RawJoinEstimate(p *xpath.Path) (float64, error) {
-	tree, err := e.kern.tree(p)
+	tree, err := xpath.BuildTree(p)
 	if err != nil {
 		return 0, err
 	}
+	return e.rawJoin(tree)
+}
+
+// rawJoin is RawJoinEstimate over a built tree.
+func (e *Estimator) rawJoin(tree *xpath.Tree) (float64, error) {
 	joined, err := pathJoin(e.kern, tree, nil)
 	if err != nil {
 		return 0, err
@@ -209,7 +224,7 @@ func (e *Estimator) RawJoinEstimate(p *xpath.Path) (float64, error) {
 // bitsets are the interned instances from the statistics source, so
 // callers holding interned document labels can compare by pointer.
 func (e *Estimator) SurvivingPids(p *xpath.Path) (map[*xpath.Step][]*bitset.Bitset, error) {
-	tree, err := e.kern.tree(p)
+	tree, err := xpath.BuildTree(p)
 	if err != nil {
 		return nil, err
 	}
@@ -464,7 +479,7 @@ func (e *Estimator) deepBranchEstimate(m *joinMemo, tree *xpath.Tree, inc includ
 // selectivities are summed; for targets outside the order node's
 // branch the sum is capped by the no-order estimate (imposing order
 // cannot increase selectivity).
-func (e *Estimator) convertAndEstimate(memo *joinMemo, tree *xpath.Tree, p *xpath.Path, edge xpath.OrderEdge) (float64, error) {
+func (e *Estimator) convertAndEstimate(memo *joinMemo, tree *xpath.Tree, edge xpath.OrderEdge) (float64, error) {
 	// The rewritten node is the endpoint whose original step used the
 	// following/preceding axis: the After endpoint for following, the
 	// Before endpoint for preceding.
@@ -505,7 +520,7 @@ func (e *Estimator) convertAndEstimate(memo *joinMemo, tree *xpath.Tree, p *xpat
 
 	sum := 0.0
 	for _, seg := range segList {
-		rw := rewriteOrderStep(p, m.Step, seg)
+		rw := rewriteOrderStep(tree.Path, m.Step, seg)
 		e.tracef("Example 5.3 rewrite through segment %v: %s", seg, rw)
 		est, err := e.Estimate(rw)
 		if err != nil {

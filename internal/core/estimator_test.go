@@ -461,10 +461,13 @@ func BenchmarkEstimateOrderQuery(b *testing.B) {
 	doc := paperfig.Doc()
 	tbs := stats.Collect(doc, nil)
 	est := New(tbs.Labeling, TableSource{Tables: tbs})
-	q := xpath.MustParse("A[/C[/F]/folls::B!/D]")
+	q, err := xpath.BuildTree(xpath.MustParse("A[/C[/F]/folls::B!/D]"))
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := est.Estimate(q); err != nil {
+		if _, err := est.EstimateTree(q); err != nil {
 			b.Fatal(err)
 		}
 	}

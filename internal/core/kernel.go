@@ -9,7 +9,6 @@ import (
 	"xpathest/internal/bitset"
 	"xpathest/internal/pathenc"
 	"xpathest/internal/stats"
-	"xpathest/internal/xpath"
 )
 
 // kernel is the summary-resident fast path under the estimator. It
@@ -48,15 +47,6 @@ type kernel struct {
 
 	mu   sync.Mutex // serializes snapshot build and witness misses
 	snap atomic.Pointer[snapshot]
-
-	// treeMu guards the query-tree cache separately from mu: tree
-	// misses are frequent on re-parsed queries (every EstimateString
-	// call yields a fresh *xpath.Path) and must not serialize against
-	// witness builds. Inserts are O(1) — no copy-on-write — because
-	// misses here are the common case for string-keyed workloads, and
-	// the read path tolerates an RLock.
-	treeMu    sync.RWMutex
-	treeCache map[*xpath.Path]*xpath.Tree // guarded by treeMu
 
 	// witFree is the tail of the current witness-bitmap chunk; bitmaps
 	// are carved from it so hundreds of tiny memo allocations coalesce
@@ -341,48 +331,11 @@ func overArenaCap(total, stride int) bool {
 }
 
 func newKernel(lab *pathenc.Labeling, src Source) *kernel {
-	k := &kernel{lab: lab, src: src, treeCache: make(map[*xpath.Path]*xpath.Tree)}
+	k := &kernel{lab: lab, src: src}
 	if lab.Table.NumPaths() > 0 {
 		k.rootTag = lab.Table.PathTags(1)[0]
 	}
 	return k
-}
-
-// maxTreeCacheEntries bounds the query-tree cache; at the bound the
-// next miss restarts from a fresh map instead of evicting (trees are a
-// few hundred bytes, so the bound is about pointer-keyed growth from
-// endlessly re-parsed queries, not memory pressure).
-const maxTreeCacheEntries = 1 << 9
-
-// tree returns the query tree of a parsed path, memoized by pointer
-// identity. Compiled plans (the server's plan cache, the batch API)
-// hold on to their *xpath.Path, so a hot query builds its tree once
-// per summary instead of once per estimate; re-parsed strings miss and
-// pay one O(1) insert, no worse than the uncached BuildTree they would
-// have done anyway. The key must stay the pointer, not the canonical
-// string: the order-axis rewrite matches tree steps against the
-// caller's path by identity, so a tree served for a structurally equal
-// but distinct parse would silently break it. Trees are read-only
-// after construction — the join keeps all mutable state in its own
-// slabs — so one tree is safe to share across concurrent estimations.
-func (k *kernel) tree(p *xpath.Path) (*xpath.Tree, error) {
-	k.treeMu.RLock()
-	t, ok := k.treeCache[p]
-	k.treeMu.RUnlock()
-	if ok {
-		return t, nil
-	}
-	t, err := xpath.BuildTree(p)
-	if err != nil {
-		return nil, err
-	}
-	k.treeMu.Lock()
-	if len(k.treeCache) >= maxTreeCacheEntries {
-		k.treeCache = make(map[*xpath.Path]*xpath.Tree, maxTreeCacheEntries)
-	}
-	k.treeCache[p] = t
-	k.treeMu.Unlock()
-	return t, nil
 }
 
 // snapshot returns the columnar image, building it on first use. The

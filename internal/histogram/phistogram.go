@@ -327,14 +327,7 @@ type PSet struct {
 // BuildPSet builds a p-histogram per tag from the exact frequency
 // table.
 func BuildPSet(ft *stats.FreqTable, numDistinctPids int, threshold float64) *PSet {
-	s := &PSet{
-		Threshold:       threshold,
-		byTag:           make(map[string]*PHistogram),
-		numDistinctPids: numDistinctPids,
-	}
-	for _, tag := range ft.Tags() {
-		s.byTag[tag] = BuildP(tag, ft.Entries(tag), threshold)
-	}
+	s, _ := BuildPSetContext(nil, ft, numDistinctPids, threshold)
 	return s
 }
 

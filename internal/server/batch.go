@@ -18,13 +18,12 @@ import (
 // planCache is a small LRU over compiled queries, shared by every
 // summary (compilation is summary-independent). Hot serving traffic
 // repeats a small set of query shapes, so the cache turns the
-// per-request parse into a map hit. Only successful compilations are
-// cached; failures are recomputed (they are as cheap as a parse and
-// caching them would let a hostile client evict real plans with
-// garbage).
+// per-request parse and query-tree build into a map hit. Only
+// successful compilations are cached; failures are recomputed (they
+// are as cheap as a parse and caching them would let a hostile client
+// evict real plans with garbage).
 type planCache struct {
 	mu    sync.Mutex
-	max   int
 	ll    *list.List               // front = most recently used; guarded by mu
 	items map[string]*list.Element // guarded by mu
 
@@ -37,8 +36,11 @@ type planEntry struct {
 	q   *xpathest.Query
 }
 
-func newPlanCache(max int) *planCache {
-	return &planCache{max: max, ll: list.New(), items: make(map[string]*list.Element, max)}
+// planCacheEntries bounds the plan cache.
+const planCacheEntries = 1024
+
+func newPlanCache() *planCache {
+	return &planCache{ll: list.New(), items: make(map[string]*list.Element, planCacheEntries)}
 }
 
 // compile returns the cached plan for a raw query string, compiling
@@ -65,7 +67,7 @@ func (c *planCache) compile(query string) (*xpathest.Query, error) {
 		return el.Value.(*planEntry).q, nil
 	}
 	c.items[query] = c.ll.PushFront(&planEntry{key: query, q: q})
-	for c.ll.Len() > c.max {
+	for c.ll.Len() > planCacheEntries {
 		last := c.ll.Back()
 		c.ll.Remove(last)
 		delete(c.items, last.Value.(*planEntry).key)
@@ -73,81 +75,16 @@ func (c *planCache) compile(query string) (*xpathest.Query, error) {
 	return q, nil
 }
 
-// flightGroup deduplicates identical in-flight estimations: one
-// leader per (summary, query) computes while followers wait for its
-// result. Estimation is a pure function of (summary, query), so
-// sharing is always sound; a follower whose leader was canceled
-// retries on its own (see estimateShared).
-type flightGroup struct {
-	mu    sync.Mutex
-	calls map[flightKey]*flightCall // guarded by mu
-
-	shared atomic.Int64
-}
-
-type flightKey struct {
-	sum   *xpathest.Summary
-	query string
-}
-
-type flightCall struct {
-	done chan struct{}
-	v    float64
-	err  error
-}
-
-func newFlightGroup() *flightGroup {
-	return &flightGroup{calls: make(map[flightKey]*flightCall)}
-}
-
-// do runs fn once per key among concurrent callers. It reports
-// whether this caller shared another's execution. A follower whose
-// own ctx dies while waiting gives up with an ErrCanceled-wrapped
-// error (the leader keeps computing for the others).
-func (g *flightGroup) do(ctx context.Context, key flightKey, fn func() (float64, error)) (v float64, shared bool, err error) {
-	g.mu.Lock()
-	if c, ok := g.calls[key]; ok {
-		g.mu.Unlock()
-		g.shared.Add(1)
-		select {
-		case <-c.done:
-			return c.v, true, c.err
-		case <-ctx.Done():
-			return 0, true, fmt.Errorf("server: abandoned shared estimate: %w: %v", guard.ErrCanceled, context.Cause(ctx))
-		}
-	}
-	c := &flightCall{done: make(chan struct{})}
-	g.calls[key] = c
-	g.mu.Unlock()
-
-	c.v, c.err = fn()
-	g.mu.Lock()
-	delete(g.calls, key)
-	g.mu.Unlock()
-	close(c.done)
-	return c.v, false, c.err
-}
-
-// estimateShared estimates one compiled query through, in order: the
-// epoch-keyed result cache (finished estimates survive across
-// requests until the registry republishes), then the dedup group (one
-// leader per in-flight (summary, query)). A shared result that failed
-// with ErrCanceled reflects the *leader's* deadline, not ours — if our
-// context is still live the query is retried once directly, so one
-// slow client cannot poison identical queries from healthy ones. Only
-// successful estimates are cached; the epoch must have been read
-// before the summary was fetched from the registry (see
-// registry.epoch).
-func (s *Server) estimateShared(ctx context.Context, epoch uint64, name string, sum *xpathest.Summary, q *xpathest.Query) (float64, error) {
+// estimateCached estimates one compiled query through the epoch-keyed
+// result cache: finished estimates survive across requests until the
+// registry republishes. Only successful estimates are cached; the
+// epoch must have been read before the summary was fetched from the
+// registry (see registry.epoch).
+func (s *Server) estimateCached(ctx context.Context, epoch uint64, name string, sum *xpathest.Summary, q *xpathest.Query) (float64, error) {
 	if v, ok := s.results.Get(epoch, name, q); ok {
 		return v, nil
 	}
-	v, shared, err := s.flight.do(ctx, flightKey{sum: sum, query: q.String()}, func() (float64, error) {
-		return sum.EstimateQueryContext(ctx, q)
-	})
-	if shared && err != nil && errors.Is(err, guard.ErrCanceled) && guard.CheckContext(ctx) == nil {
-		v, err = sum.EstimateQueryContext(ctx, q)
-	}
+	v, err := sum.EstimateQueryContext(ctx, q)
 	if err == nil {
 		s.results.Put(epoch, name, q, v)
 	}
@@ -187,8 +124,7 @@ func maxBatchBytes(l guard.Limits) int64 {
 // summary, one round trip. Per-query failures are isolated into their
 // slots; only request-level problems (bad JSON, batch too large) fail
 // the whole call. Duplicate queries inside the batch are estimated
-// once, and identical queries across concurrent batches share one
-// estimation through the in-flight dedup group.
+// once.
 func (s *Server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 	s.batches.Add(1)
 	var req batchRequest
@@ -230,34 +166,31 @@ func (s *Server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Estimate each distinct query once; positional slots share the
-	// outcome. Distinct queries run on a bounded worker pool.
-	type outcome struct {
-		item batchItem
-		once sync.Once
-	}
-	distinct := make(map[string]*outcome, len(req.Queries))
+	// outcome. Distinct queries run on a bounded worker pool, which
+	// claims each one exactly once.
+	distinct := make(map[string]int, len(req.Queries))
 	order := make([]string, 0, len(req.Queries))
 	for _, q := range req.Queries {
 		if _, seen := distinct[q]; !seen {
-			distinct[q] = &outcome{}
+			distinct[q] = len(order)
 			order = append(order, q)
 		}
 	}
+	outcomes := make([]batchItem, len(order))
 
-	run := func(ctx context.Context, raw string, out *outcome) {
+	run := func(ctx context.Context, raw string) batchItem {
 		item := batchItem{Query: raw}
-		fail := func(err error) {
+		fail := func(err error) batchItem {
 			_, kind := statusFor(err)
 			msg := err.Error()
 			if kind == "internal" {
 				msg = "internal error"
 			}
 			item.Error, item.Kind = msg, kind
+			return item
 		}
 		if err := s.cfg.Limits.CheckQuery(raw); err != nil {
-			fail(err)
-			out.item = item
-			return
+			return fail(err)
 		}
 		// Malformed queries are the client's fault regardless of
 		// summary health — compile before the fallback decision, so
@@ -265,9 +198,7 @@ func (s *Server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 		// /estimate).
 		q, err := s.plans.compile(raw)
 		if err != nil {
-			fail(err)
-			out.item = item
-			return
+			return fail(err)
 		}
 		item.Query = q.String()
 		if degraded {
@@ -275,18 +206,15 @@ func (s *Server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 			item.Confidence = "low"
 			item.Fallback = true
 			item.Reason = reason
-			out.item = item
-			return
+			return item
 		}
-		v, err := s.estimateShared(ctx, epoch, req.Summary, e.sum, q)
+		v, err := s.estimateCached(ctx, epoch, req.Summary, e.sum, q)
 		if err != nil {
-			fail(err)
-			out.item = item
-			return
+			return fail(err)
 		}
 		item.Estimate = v
 		item.Confidence = "normal"
-		out.item = item
+		return item
 	}
 
 	workers := runtime.GOMAXPROCS(0)
@@ -304,9 +232,7 @@ func (s *Server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 				if n >= len(order) {
 					return
 				}
-				raw := order[n]
-				out := distinct[raw]
-				out.once.Do(func() { run(r.Context(), raw, out) })
+				outcomes[n] = run(r.Context(), order[n])
 			}
 		}()
 	}
@@ -314,7 +240,7 @@ func (s *Server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 
 	results := make([]batchItem, len(req.Queries))
 	for i, q := range req.Queries {
-		results[i] = distinct[q].item
+		results[i] = outcomes[distinct[q]]
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"summary": req.Summary,

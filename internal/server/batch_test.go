@@ -104,7 +104,7 @@ func TestEstimateBatchFallback(t *testing.T) {
 	s := startServer(t, Config{})
 	base := "http://" + s.Addr()
 
-	code, m := postBatch(t, base, "nope", []string{"//a/b", "][broken"})
+	code, m := postBatch(t, base, "nope", []string{"//a/b", "][broken", "//item//name/folls::x"})
 	if code != http.StatusOK {
 		t.Fatalf("batch: status %d: %v", code, m)
 	}
@@ -115,8 +115,10 @@ func TestEstimateBatchFallback(t *testing.T) {
 	if results[0]["estimate"].(float64) != 1.0 {
 		t.Errorf("slot 0: fallback estimate = %v, want 1", results[0]["estimate"])
 	}
-	if results[1]["kind"] != "malformed_query" {
-		t.Errorf("slot 1: kind = %v, want malformed_query", results[1]["kind"])
+	for _, i := range []int{1, 2} {
+		if results[i]["kind"] != "malformed_query" {
+			t.Errorf("slot %d: kind = %v, want malformed_query", i, results[i]["kind"])
+		}
 	}
 }
 
@@ -218,7 +220,7 @@ func TestBatchFasterThanSequential(t *testing.T) {
 
 // TestEstimateBatchConcurrent hammers the endpoint from many client
 // goroutines sharing one summary — the -race guard over the plan
-// cache, the in-flight dedup group, and the estimator's memo kernel.
+// cache, the result cache, and the estimator's memo kernel.
 func TestEstimateBatchConcurrent(t *testing.T) {
 	s := startServer(t, Config{})
 	base := "http://" + s.Addr()

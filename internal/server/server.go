@@ -67,9 +67,6 @@ type Config struct {
 	// FallbackEstimate is returned (with confidence "low") when the
 	// requested summary is missing or failed to load (default 1.0).
 	FallbackEstimate float64
-	// PlanCacheSize caps the LRU cache of compiled query plans shared
-	// by /estimate/batch (default 1024 entries).
-	PlanCacheSize int
 	// ResultCacheBytes bounds the finished-estimate cache shared by
 	// /estimate and /estimate/batch (default 4 MiB; negative disables
 	// it). Entries are keyed by the registry epoch, so any summary
@@ -124,9 +121,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FallbackEstimate == 0 {
 		c.FallbackEstimate = 1.0
-	}
-	if c.PlanCacheSize <= 0 {
-		c.PlanCacheSize = 1024
 	}
 	if c.ResultCacheBytes == 0 {
 		c.ResultCacheBytes = 4 << 20
@@ -230,7 +224,6 @@ type Server struct {
 	mux     *http.ServeMux
 	http    *http.Server
 	plans   *planCache
-	flight  *flightGroup
 	results *xpathest.EstimateCache // nil when ResultCacheBytes < 0
 
 	ln      net.Listener // nil until Start; guarded by lnGuard
@@ -269,8 +262,7 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 		cfg:      cfg,
 		reg:      newRegistry(),
 		sem:      make(chan struct{}, cfg.MaxInFlight),
-		plans:    newPlanCache(cfg.PlanCacheSize),
-		flight:   newFlightGroup(),
+		plans:    newPlanCache(),
 		breakers: newBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown),
 	}
 	if cfg.ResultCacheBytes > 0 {
@@ -468,7 +460,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		"batch_queries":          s.batchQueries.Load(),
 		"plan_cache_hits":        s.plans.hits.Load(),
 		"plan_cache_misses":      s.plans.misses.Load(),
-		"dedup_shared":           s.flight.shared.Load(),
 		"result_cache_hits":      rcHits,
 		"result_cache_misses":    rcMisses,
 		"result_cache_evictions": rcEvictions,
@@ -539,9 +530,9 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// A malformed query is the client's fault regardless of summary
-	// health — compile before the fallback decision so degradation
-	// never masks bad queries. Compiling (rather than just parsing)
-	// routes /estimate through the same plan cache, dedup group, and
+	// health — compile (parse and build the query tree) before the
+	// fallback decision so degradation never masks bad queries.
+	// Compiling also routes /estimate through the same plan cache and
 	// result cache as /estimate/batch.
 	qq, err := s.plans.compile(q)
 	if err != nil {
@@ -574,7 +565,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	v, err := s.estimateShared(r.Context(), epoch, name, e.sum, qq)
+	v, err := s.estimateCached(r.Context(), epoch, name, e.sum, qq)
 	if err != nil {
 		writeError(w, err)
 		return

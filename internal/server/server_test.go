@@ -8,6 +8,7 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -261,10 +262,14 @@ func TestGracefulDegradation(t *testing.T) {
 	}
 
 	// But a malformed query on a degraded name is still the client's
-	// error — degradation never masks bad queries.
-	code, m = get(t, base+"/estimate?summary=broken&q=[[[")
-	if code != http.StatusBadRequest || m["kind"] != "malformed_query" {
-		t.Fatalf("malformed query on degraded name: %d %v", code, m)
+	// error — degradation never masks bad queries. That includes a
+	// query that parses but has no query tree: its order axis follows
+	// a descendant step, so it cannot be anchored.
+	for _, q := range []string{"[[[", "//item//name/folls::x"} {
+		code, m = get(t, base+"/estimate?summary=broken&q="+url.QueryEscape(q))
+		if code != http.StatusBadRequest || m["kind"] != "malformed_query" {
+			t.Fatalf("malformed query %q on degraded name: %d %v", q, code, m)
+		}
 	}
 
 	// /summaries reports both, with status.

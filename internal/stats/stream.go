@@ -33,8 +33,7 @@ import (
 // streams (e.g. re-open the same file). The returned Tables carry an
 // estimation-only labeling (no per-node labels).
 func CollectStream(opener func() (io.ReadCloser, error)) (*Tables, error) {
-	//lint:ignore ctxpropagate documented compat wrapper of the pre-hardening API; callers that need cancellation use CollectStreamContext
-	return CollectStreamContext(context.Background(), opener, guard.Limits{})
+	return CollectStreamContext(nil, opener, guard.Limits{})
 }
 
 // wrapTokenErr classifies a decoder token error: XML syntax errors are

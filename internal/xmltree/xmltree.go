@@ -154,8 +154,7 @@ func (d *Document) finalize() {
 // Parse reads an XML document from r and builds its tree. It returns
 // an error for malformed XML or for input containing no element.
 func Parse(r io.Reader) (*Document, error) {
-	//lint:ignore ctxpropagate documented compat wrapper of the pre-hardening API; callers that need cancellation use ParseContext
-	return ParseContext(context.Background(), r, guard.Limits{})
+	return ParseContext(nil, r, guard.Limits{})
 }
 
 // ctxCheckEvery is how many decoder tokens ParseContext consumes

@@ -40,7 +40,7 @@ func FuzzParse(f *testing.F) {
 		}
 		// BuildTree must not panic on any accepted query.
 		if tree, err := BuildTree(p); err == nil {
-			if tree.Target == nil || len(tree.Nodes) != p.NumSteps() {
+			if tree.Target == nil || len(tree.Nodes) != p.NumSteps() || tree.Path != p {
 				t.Fatalf("inconsistent tree for %q", canon)
 			}
 		}

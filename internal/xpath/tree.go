@@ -40,8 +40,12 @@ type OrderEdge struct {
 	SiblingOnly   bool
 }
 
-// Tree is the query-tree form of a parsed path.
+// Tree is the query-tree form of a parsed path. Path is the path it
+// was built from: every node's Step is a step of Path, so a rewrite
+// that matches steps by identity (the Example 5.3 conversion) can
+// walk Path and compare against the nodes.
 type Tree struct {
+	Path   *Path
 	VRoot  *TreeNode
 	Nodes  []*TreeNode // all element-test nodes, preorder
 	Edges  []OrderEdge
@@ -58,7 +62,7 @@ func BuildTree(p *Path) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Tree{VRoot: &TreeNode{}}
+	t := &Tree{Path: p, VRoot: &TreeNode{}}
 	if err := t.attachPath(t.VRoot, p, true, target); err != nil {
 		return nil, err
 	}

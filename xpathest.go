@@ -23,9 +23,9 @@
 package xpathest
 
 import (
+	"context"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 	"sync"
 
@@ -81,11 +81,7 @@ func (d *Document) Epoch() uint64 {
 // PathId-Frequency and Path-Order statistics, and indexes the distinct
 // path ids in the compressed binary tree.
 func ParseDocument(r io.Reader) (*Document, error) {
-	doc, err := xmltree.Parse(r)
-	if err != nil {
-		return nil, err
-	}
-	return prepare(doc)
+	return ParseDocumentContext(nil, r, Limits{})
 }
 
 // ParseDocumentString is ParseDocument over a string.
@@ -95,12 +91,7 @@ func ParseDocumentString(s string) (*Document, error) {
 
 // LoadDocument reads an XML file from disk.
 func LoadDocument(path string) (*Document, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ParseDocument(f)
+	return LoadDocumentContext(nil, path, Limits{})
 }
 
 func prepare(doc *xmltree.Document) (*Document, error) {
@@ -306,26 +297,44 @@ type Summary struct {
 func (s *Summary) Epoch() uint64 { return s.epoch }
 
 // BuildSummary constructs the p- and o-histograms at the requested
-// variance thresholds and returns the estimator over them.
+// variance thresholds and returns the estimator over them. A negative
+// threshold is a programming error and panics; BuildSummaryContext
+// returns it as an ErrInvalidArgument-wrapped error instead.
 func (d *Document) BuildSummary(opts SummaryOptions) *Summary {
+	s, _ := d.buildSummary(nil, opts)
+	return s
+}
+
+// buildSummary is the body of BuildSummary and BuildSummaryContext; a
+// nil ctx never cancels.
+func (d *Document) buildSummary(ctx context.Context, opts SummaryOptions) (*Summary, error) {
 	s := &Summary{opts: opts, lab: d.lab, tree: d.tree, src: d, epoch: d.Epoch()}
+	n := d.lab.NumDistinct()
+	pv, ov := opts.PVariance, opts.OVariance
 	if opts.Exact {
-		s.est = core.New(d.lab, core.TableSource{Tables: d.tables})
-		s.pBytes = d.tables.Freq.SizeBytes(pidRefBytes(d.lab.NumDistinct()))
-		s.oBytes = d.tables.Order.SizeBytes(pidRefBytes(d.lab.NumDistinct()))
 		// Keep variance-0 histograms around so an Exact summary can
 		// still be serialized (they are equivalent).
-		s.ps = histogramBuildP(d.tables, d.lab.NumDistinct(), 0)
-		s.os = histogramBuildO(d.tables, s.ps, d.lab.NumDistinct(), 0)
-		return s
+		pv, ov = 0, 0
 	}
-	n := d.lab.NumDistinct()
-	s.ps = histogramBuildP(d.tables, n, opts.PVariance)
-	s.os = histogramBuildO(d.tables, s.ps, n, opts.OVariance)
-	s.est = core.New(d.lab, core.HistogramSource{P: s.ps, O: s.os})
-	s.pBytes = s.ps.SizeBytes()
-	s.oBytes = s.os.SizeBytes()
-	return s
+	ps, err := histogram.BuildPSetContext(ctx, d.tables.Freq, n, pv)
+	if err != nil {
+		return nil, err
+	}
+	os, err := histogram.BuildOSetContext(ctx, d.tables.Order, ps, n, ov)
+	if err != nil {
+		return nil, err
+	}
+	s.ps, s.os = ps, os
+	if opts.Exact {
+		s.est = core.New(d.lab, core.TableSource{Tables: d.tables})
+		s.pBytes = d.tables.Freq.SizeBytes(pidRefBytes(n))
+		s.oBytes = d.tables.Order.SizeBytes(pidRefBytes(n))
+	} else {
+		s.est = core.New(d.lab, core.HistogramSource{P: ps, O: os})
+		s.pBytes = ps.SizeBytes()
+		s.oBytes = os.SizeBytes()
+	}
+	return s, nil
 }
 
 // Estimate returns the estimated selectivity of the query's target
@@ -401,58 +410,19 @@ func (s *Summary) Save(w io.Writer) error {
 // Summary carries no document, so only Estimate, Sizes and Save are
 // available; ExactCount needs ParseDocument/LoadDocument.
 func SummarizeFile(path string, opts SummaryOptions) (*Summary, error) {
-	return SummarizeStream(func() (io.ReadCloser, error) { return os.Open(path) }, opts)
+	return SummarizeFileContext(nil, path, opts, Limits{})
 }
 
 // SummarizeStream is SummarizeFile over any re-openable source: the
 // opener is called once per pass and must yield equivalent streams.
+// A negative variance threshold fails with ErrInvalidArgument.
 func SummarizeStream(opener func() (io.ReadCloser, error), opts SummaryOptions) (*Summary, error) {
-	tables, err := stats.CollectStream(opener)
-	if err != nil {
-		return nil, err
-	}
-	lab := tables.Labeling
-	tree, err := pidtree.Build(lab.Distinct())
-	if err != nil {
-		return nil, err
-	}
-	s := &Summary{opts: opts, lab: lab, tree: tree}
-	n := lab.NumDistinct()
-	pv, ov := opts.PVariance, opts.OVariance
-	if opts.Exact {
-		pv, ov = 0, 0
-	}
-	s.ps = histogramBuildP(tables, n, pv)
-	s.os = histogramBuildO(tables, s.ps, n, ov)
-	s.est = core.New(lab, core.HistogramSource{P: s.ps, O: s.os})
-	s.pBytes = s.ps.SizeBytes()
-	s.oBytes = s.os.SizeBytes()
-	return s, nil
+	return SummarizeStreamContext(nil, opener, opts, Limits{})
 }
 
 // ReadSummary loads a summary serialized by Save. The returned
 // Summary estimates exactly like the original; it carries no document,
 // so only Estimate and Sizes are available.
 func ReadSummary(r io.Reader) (*Summary, error) {
-	lab, ps, os, err := summaryDecode(r)
-	if err != nil {
-		return nil, err
-	}
-	tree, err := pidtree.Build(lab.Distinct())
-	if err != nil {
-		// The distinct-pid list came from the decoded stream: a list the
-		// tree rejects means the stream was corrupt, not an internal bug.
-		return nil, fmt.Errorf("xpathest: %v: %w", err, guard.ErrCorruptSummary)
-	}
-	s := &Summary{
-		opts: SummaryOptions{PVariance: ps.Threshold, OVariance: os.Threshold},
-		lab:  lab,
-		tree: tree,
-		ps:   ps,
-		os:   os,
-		est:  core.New(lab, core.HistogramSource{P: ps, O: os}),
-	}
-	s.pBytes = ps.SizeBytes()
-	s.oBytes = os.SizeBytes()
-	return s, nil
+	return ReadSummaryContext(nil, r, Limits{})
 }
