@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"xpathest/internal/core"
 	"xpathest/internal/delta"
 	"xpathest/internal/eval"
 	"xpathest/internal/guard"
@@ -151,10 +150,7 @@ func (s *Summary) Apply(sc EditScript) (*ApplyResult, error) {
 		return nil, fmt.Errorf("xpathest: summary is stale: built at epoch %d, document at %d — apply to the latest summary: %w", s.epoch, d.editEpoch, guard.ErrInvalidArgument)
 	}
 
-	pv, ov := s.opts.PVariance, s.opts.OVariance
-	if s.opts.Exact {
-		pv, ov = 0, 0
-	}
+	pv, ov := s.opts.thresholds()
 	st := &delta.State{Doc: d.doc, Lab: d.lab, Tables: d.tables, PS: s.ps, OS: s.os}
 	res, applyErr := delta.Apply(st, ds, delta.Options{PVariance: pv, OVariance: ov})
 	if applyErr != nil && res.Applied == 0 {
@@ -182,25 +178,8 @@ func (s *Summary) Apply(sc EditScript) (*ApplyResult, error) {
 		return nil, applyErr
 	}
 
-	ns := &Summary{
-		opts:  s.opts,
-		lab:   st.Lab,
-		tree:  tree,
-		ps:    st.PS,
-		os:    st.OS,
-		src:   d,
-		epoch: d.editEpoch,
-	}
-	n := st.Lab.NumDistinct()
-	if s.opts.Exact {
-		ns.est = core.New(st.Lab, core.TableSource{Tables: st.Tables})
-		ns.pBytes = st.Tables.Freq.SizeBytes(pidRefBytes(n))
-		ns.oBytes = st.Tables.Order.SizeBytes(pidRefBytes(n))
-	} else {
-		ns.est = core.New(st.Lab, core.HistogramSource{P: st.PS, O: st.OS})
-		ns.pBytes = st.PS.SizeBytes()
-		ns.oBytes = st.OS.SizeBytes()
-	}
+	ns := newSummary(s.opts, st.Lab, tree, st.Tables, st.PS, st.OS)
+	ns.src, ns.epoch = d, d.editEpoch
 	inv, err := editScriptFromDelta(res.Inverse)
 	if err != nil {
 		return nil, err

@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 
-	"xpathest/internal/core"
 	"xpathest/internal/guard"
 	"xpathest/internal/histogram"
 	"xpathest/internal/pathenc"
@@ -141,30 +140,11 @@ func SummarizeStreamContext(ctx context.Context, opener func() (io.ReadCloser, e
 	if err != nil {
 		return nil, err
 	}
-	lab := tables.Labeling
-	tree, err := pidtree.Build(lab.Distinct())
+	tree, err := pidtree.Build(tables.Labeling.Distinct())
 	if err != nil {
 		return nil, err
 	}
-	s := &Summary{opts: opts, lab: lab, tree: tree}
-	n := lab.NumDistinct()
-	pv, ov := opts.PVariance, opts.OVariance
-	if opts.Exact {
-		pv, ov = 0, 0
-	}
-	ps, err := histogram.BuildPSetContext(ctx, tables.Freq, n, pv)
-	if err != nil {
-		return nil, err
-	}
-	os, err := histogram.BuildOSetContext(ctx, tables.Order, ps, n, ov)
-	if err != nil {
-		return nil, err
-	}
-	s.ps, s.os = ps, os
-	s.est = core.New(lab, core.HistogramSource{P: ps, O: os})
-	s.pBytes = ps.SizeBytes()
-	s.oBytes = os.SizeBytes()
-	return s, nil
+	return summarize(ctx, opts, tables.Labeling, tree, tables)
 }
 
 // ReadSummaryContext is ReadSummary under resource limits and
@@ -219,15 +199,5 @@ func summaryFromDecoded(ctx context.Context, lab *pathenc.Labeling, ps *histogra
 		// tree rejects means the stream was corrupt, not an internal bug.
 		return nil, fmt.Errorf("xpathest: %v: %w", err, guard.ErrCorruptSummary)
 	}
-	s := &Summary{
-		opts: SummaryOptions{PVariance: ps.Threshold, OVariance: os.Threshold},
-		lab:  lab,
-		tree: tree,
-		ps:   ps,
-		os:   os,
-		est:  core.New(lab, core.HistogramSource{P: ps, O: os}),
-	}
-	s.pBytes = ps.SizeBytes()
-	s.oBytes = os.SizeBytes()
-	return s, nil
+	return newSummary(SummaryOptions{PVariance: ps.Threshold, OVariance: os.Threshold}, lab, tree, nil, ps, os), nil
 }

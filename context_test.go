@@ -31,21 +31,42 @@ func savedSummary(t testing.TB) []byte {
 	return buf.Bytes()
 }
 
+// routeErr is the error one route of an XML input returned.
+type routeErr struct {
+	route string
+	err   error
+}
+
+// xmlRoutes runs one XML input through both routes a document takes
+// into the system — ParseDocumentContext, and SummarizeStreamContext's
+// two streaming passes — and returns each route's error.
+func xmlRoutes(ctx context.Context, xml string, lim Limits) []routeErr {
+	_, perr := ParseDocumentContext(ctx, strings.NewReader(xml), lim)
+	_, serr := SummarizeStreamContext(ctx, func() (io.ReadCloser, error) {
+		return io.NopCloser(strings.NewReader(xml)), nil
+	}, SummaryOptions{}, lim)
+	return []routeErr{{"parse", perr}, {"stream", serr}}
+}
+
 func TestParseDocumentContextLimits(t *testing.T) {
 	deep := strings.Repeat("<a>", 40) + "x" + strings.Repeat("</a>", 40)
-	lim := Limits{MaxDepth: 8}
-	if _, err := ParseDocumentContext(context.Background(), strings.NewReader(deep), lim); !errors.Is(err, ErrLimitExceeded) {
-		t.Fatalf("deep document: got %v, want ErrLimitExceeded", err)
-	}
-	if _, err := ParseDocumentContext(context.Background(), strings.NewReader(smallXML), Limits{MaxElements: 3}); !errors.Is(err, ErrLimitExceeded) {
-		t.Fatal("element limit not enforced")
-	}
-	if _, err := ParseDocumentContext(context.Background(), strings.NewReader(smallXML), Limits{MaxDocumentBytes: 16}); !errors.Is(err, ErrLimitExceeded) {
-		t.Fatal("byte limit not enforced")
-	}
-	// Zero limits admit everything the non-Context API admits.
-	if _, err := ParseDocumentContext(context.Background(), strings.NewReader(deep), Limits{}); err != nil {
-		t.Fatalf("unlimited parse: %v", err)
+	for _, c := range []struct {
+		name string
+		xml  string
+		lim  Limits
+		want error
+	}{
+		{"depth", deep, Limits{MaxDepth: 8}, ErrLimitExceeded},
+		{"elements", smallXML, Limits{MaxElements: 3}, ErrLimitExceeded},
+		{"bytes", smallXML, Limits{MaxDocumentBytes: 16}, ErrLimitExceeded},
+		// Zero limits admit everything the non-Context API admits.
+		{"unlimited", deep, Limits{}, nil},
+	} {
+		for _, r := range xmlRoutes(context.Background(), c.xml, c.lim) {
+			if !errors.Is(r.err, c.want) {
+				t.Errorf("%s via %s: got %v, want %v", c.name, r.route, r.err, c.want)
+			}
+		}
 	}
 }
 
@@ -59,8 +80,10 @@ func TestParseDocumentContextCanceled(t *testing.T) {
 		sb.WriteString("<a/>")
 	}
 	sb.WriteString("</r>")
-	if _, err := ParseDocumentContext(ctx, strings.NewReader(sb.String()), Limits{}); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("got %v, want ErrCanceled", err)
+	for _, r := range xmlRoutes(ctx, sb.String(), Limits{}) {
+		if !errors.Is(r.err, ErrCanceled) {
+			t.Errorf("via %s: got %v, want ErrCanceled", r.route, r.err)
+		}
 	}
 }
 

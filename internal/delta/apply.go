@@ -135,7 +135,7 @@ func (a *applier) applyInsert(op Op) (Op, bool, error) {
 		return Op{}, false, fmt.Errorf("insert index %d out of range [0,%d]: %w", op.Index, len(parent.Children), guard.ErrInvalidArgument)
 	}
 	sub := xmltree.CloneSubtree(op.Subtree)
-	oldGroup := snapshotGroup(parent.Children, st.Lab)
+	oldGroup := stats.AppendGroup(nil, parent.Children, st.Lab)
 	if err := st.Doc.Attach(parent, op.Index, sub); err != nil {
 		return Op{}, false, err
 	}
@@ -167,14 +167,15 @@ func (a *applier) applyDelete(op Op) (Op, bool, error) {
 	// Snapshot the group, the removed occurrences and the removed
 	// subtree's interior sibling groups while the pre-edit Ord index is
 	// still valid.
-	oldGroup := snapshotGroup(parent.Children, st.Lab)
+	oldGroup := stats.AppendGroup(nil, parent.Children, st.Lab)
 	var removed []stats.GroupMember
 	var removedGroups [][]stats.GroupMember
-	walkSubtree(victim, func(n *xmltree.Node) {
+	victim.Walk(func(n *xmltree.Node) bool {
 		removed = append(removed, stats.GroupMember{Tag: n.Tag, Pid: st.Lab.PidOf(n)})
 		if len(n.Children) >= 2 {
-			removedGroups = append(removedGroups, snapshotGroup(n.Children, st.Lab))
+			removedGroups = append(removedGroups, stats.AppendGroup(nil, n.Children, st.Lab))
 		}
+		return true
 	})
 	if err := st.Doc.Detach(victim); err != nil {
 		return Op{}, false, err
@@ -233,9 +234,10 @@ func (a *applier) maintain(parent, inserted *xmltree.Node, removed []stats.Group
 	// Frequency deltas: inserted occurrences +1, removed ones -1, and
 	// each relabeled ancestor moves one occurrence between pids.
 	if inserted != nil {
-		walkSubtree(inserted, func(n *xmltree.Node) {
+		inserted.Walk(func(n *xmltree.Node) bool {
 			st.Tables.Freq.AddFreq(n.Tag, nl.PidOf(n), 1)
 			a.pDirty[n.Tag] = true
+			return true
 		})
 	}
 	for _, m := range removed {
@@ -256,7 +258,7 @@ func (a *applier) maintain(parent, inserted *xmltree.Node, removed []stats.Group
 	for _, m := range oldGroup {
 		a.oDirty[m.Tag] = true
 	}
-	newGroup := snapshotGroup(parent.Children, nl)
+	newGroup := stats.AppendGroup(nil, parent.Children, nl)
 	st.Tables.Order.ApplyGroup(newGroup, 1)
 	for _, m := range newGroup {
 		a.oDirty[m.Tag] = true
@@ -264,14 +266,15 @@ func (a *applier) maintain(parent, inserted *xmltree.Node, removed []stats.Group
 	// Sibling groups interior to the spliced subtree contribute cells
 	// of their own: added for an insert, retracted for a delete.
 	if inserted != nil {
-		walkSubtree(inserted, func(m *xmltree.Node) {
+		inserted.Walk(func(m *xmltree.Node) bool {
 			if len(m.Children) >= 2 {
-				g := snapshotGroup(m.Children, nl)
+				g := stats.AppendGroup(nil, m.Children, nl)
 				st.Tables.Order.ApplyGroup(g, 1)
 				for _, gm := range g {
 					a.oDirty[gm.Tag] = true
 				}
 			}
+			return true
 		})
 	}
 	for _, g := range removedGroups {
@@ -389,24 +392,6 @@ func moveAncestorCells(ot *stats.OrderTables, ch pathenc.PidChange) {
 		}
 	}
 	ot.MoveCells(ch.Node.Tag, ch.Old, ch.New, sortedTags(beforeSet), sortedTags(afterSet))
-}
-
-// snapshotGroup captures a sibling group's (tag, pid) composition for
-// the order-sweep mutators.
-func snapshotGroup(kids []*xmltree.Node, l *pathenc.Labeling) []stats.GroupMember {
-	out := make([]stats.GroupMember, 0, len(kids))
-	for _, c := range kids {
-		out = append(out, stats.GroupMember{Tag: c.Tag, Pid: l.PidOf(c)})
-	}
-	return out
-}
-
-// walkSubtree visits n's subtree in preorder.
-func walkSubtree(n *xmltree.Node, fn func(*xmltree.Node)) {
-	fn(n)
-	for _, c := range n.Children {
-		walkSubtree(c, fn)
-	}
 }
 
 // sortedTags merges tag sets into one sorted slice (deterministic

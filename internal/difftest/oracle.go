@@ -3,6 +3,7 @@ package difftest
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"strings"
 
@@ -49,11 +50,14 @@ func DefaultConfigs() []SummaryConfig {
 type Invariant string
 
 const (
-	// InvPathsAgree: the five estimator paths — cold kernel, warmed
+	// InvPathsAgree: the six estimator paths — cold kernel, warmed
 	// kernel, EstimateBatch, a summary serialized through summaryio and
-	// read back, and the epoch-keyed result cache's hit path — return
+	// read back, the epoch-keyed result cache's hit path, and a summary
+	// built by SummarizeStream from the document's XML — return
 	// bit-identical values (or identical errors). Estimation is a pure
-	// function of (summary, query).
+	// function of (summary, query), and the streamed summary is the
+	// tree-built one: it saves the same bytes and reports the same
+	// Sizes.
 	InvPathsAgree Invariant = "paths-agree"
 
 	// InvNonNegative: every estimate is a finite value ≥ 0.
@@ -285,6 +289,20 @@ func (c *Checker) CheckDoc(p *Pair, queries []string) Result {
 			rt, rtErr = xpathest.ReadSummary(bytes.NewReader(buf.Bytes()))
 		}
 
+		// The streamed path builds the config from the serialized
+		// document in two streaming passes, without the tree.
+		streamed, stErr := xpathest.SummarizeStream(func() (io.ReadCloser, error) {
+			return io.NopCloser(strings.NewReader(p.XML)), nil
+		}, cfg.options())
+		if stErr == nil {
+			if d := summaryDiff(warm, streamed); d != "" {
+				res.Violations = append(res.Violations, Violation{
+					Invariant: InvPathsAgree, Config: cfg, DocXML: p.XML,
+					Detail: "streamed summary: " + d,
+				})
+			}
+		}
+
 		// Warm pass: run the whole workload once so the memoized kernel
 		// maps are hot before the measured pass.
 		for _, q := range queries {
@@ -321,6 +339,13 @@ func (c *Checker) CheckDoc(p *Pair, queries []string) Result {
 				paths["roundtrip"] = c.perturb("roundtrip", q, estimate{rv, rerr})
 			}
 
+			if stErr != nil {
+				paths["streamed"] = estimate{0, fmt.Errorf("streamed summary unavailable: %w", stErr)}
+			} else {
+				sv, serr := streamed.Estimate(q)
+				paths["streamed"] = c.perturb("streamed", q, estimate{sv, serr})
+			}
+
 			var cached estimate
 			if qc, cerr := xpathest.CompileQuery(q); cerr != nil {
 				cached = estimate{0, cerr}
@@ -334,7 +359,7 @@ func (c *Checker) CheckDoc(p *Pair, queries []string) Result {
 			paths["cached"] = c.perturb("cached", q, cached)
 
 			ref := paths["cold"]
-			for _, name := range []string{"warm", "batch", "roundtrip", "cached"} {
+			for _, name := range []string{"warm", "batch", "roundtrip", "cached", "streamed"} {
 				if !sameOutcome(ref, paths[name]) {
 					res.Violations = append(res.Violations, Violation{
 						Invariant: InvPathsAgree, Config: cfg, Query: q, DocXML: p.XML,
@@ -386,6 +411,25 @@ func (c *Checker) CheckDoc(p *Pair, queries []string) Result {
 		}
 	}
 	return res
+}
+
+// summaryDiff reports how got's Save bytes or Sizes differ from
+// want's, or "" when they agree.
+func summaryDiff(want, got *xpathest.Summary) string {
+	var wb, gb bytes.Buffer
+	if err := want.Save(&wb); err != nil {
+		return "saving the reference: " + err.Error()
+	}
+	if err := got.Save(&gb); err != nil {
+		return "saving: " + err.Error()
+	}
+	if !bytes.Equal(wb.Bytes(), gb.Bytes()) {
+		return fmt.Sprintf("Save bytes differ (%d vs %d bytes)", gb.Len(), wb.Len())
+	}
+	if g, w := got.Sizes(), want.Sizes(); g != w {
+		return fmt.Sprintf("Sizes %+v, want %+v", g, w)
+	}
+	return ""
 }
 
 // checkTagBound verifies est ≤ frequency of the target tag. Exact

@@ -2,7 +2,6 @@ package pathenc
 
 import (
 	"errors"
-	"fmt"
 
 	"xpathest/internal/bitset"
 	"xpathest/internal/xmltree"
@@ -60,38 +59,24 @@ type PidChange struct {
 // it in overrides. The subtree must already hang off the document (its
 // Parent chain supplies the path prefix). A leaf whose root-to-leaf
 // path is missing from the table yields an error wrapping
-// ErrPathUnknown and leaves overrides partially filled; the caller
-// discards the clone in that case.
+// ErrPathUnknown and leaves overrides untouched; the caller discards
+// the clone in that case.
 func (l *Labeling) RelabelSubtree(sub *xmltree.Node, overrides map[*xmltree.Node]*bitset.Bitset) error {
 	prefix := ""
 	if sub.Parent != nil {
-		prefix = sub.Parent.PathString() + "/"
+		prefix = sub.Parent.PathString()
 	}
-	_, err := l.relabel(sub, prefix, overrides)
-	return err
-}
-
-func (l *Labeling) relabel(n *xmltree.Node, prefix string, overrides map[*xmltree.Node]*bitset.Bitset) (*bitset.Bitset, error) {
-	pid := bitset.New(l.Table.NumPaths())
-	if n.IsLeaf() {
-		enc := l.Table.Encoding(prefix + n.Tag)
-		if enc == 0 {
-			return nil, fmt.Errorf("%w: %s%s", ErrPathUnknown, prefix, n.Tag)
-		}
-		pid.Set(enc)
-	} else {
-		childPrefix := prefix + n.Tag + "/"
-		for _, c := range n.Children {
-			cp, err := l.relabel(c, childPrefix, overrides)
-			if err != nil {
-				return nil, err
-			}
-			pid.Or(cp)
-		}
+	pids, err := l.label(sub, prefix, 0)
+	if err != nil {
+		return err
 	}
-	pid = l.intern(pid)
-	overrides[n] = pid
-	return pid, nil
+	i := 0
+	sub.Walk(func(n *xmltree.Node) bool {
+		overrides[n] = pids[i]
+		i++
+		return true
+	})
+	return nil
 }
 
 // RecomputeAncestors re-derives the path id of n and its ancestors
@@ -105,14 +90,14 @@ func (l *Labeling) relabel(n *xmltree.Node, prefix string, overrides map[*xmltre
 func (l *Labeling) RecomputeAncestors(n *xmltree.Node, overrides map[*xmltree.Node]*bitset.Bitset) ([]PidChange, error) {
 	var changes []PidChange
 	for cur := n; cur != nil; cur = cur.Parent {
-		pid := bitset.New(l.Table.NumPaths())
+		var pid *bitset.Bitset
 		if cur.IsLeaf() {
-			enc := l.Table.Encoding(cur.PathString())
-			if enc == 0 {
-				return nil, fmt.Errorf("%w: %s", ErrPathUnknown, cur.PathString())
+			var err error
+			if pid, err = l.Table.leafPid([]byte(cur.PathString())); err != nil {
+				return nil, err
 			}
-			pid.Set(enc)
 		} else {
+			pid = bitset.New(l.Table.NumPaths())
 			for _, c := range cur.Children {
 				cp := overrides[c]
 				if cp == nil {

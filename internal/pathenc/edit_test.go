@@ -190,7 +190,7 @@ func TestCloneForEditShares(t *testing.T) {
 	})
 	// Interning a novel pid into the clone must not grow the original.
 	novel := bitset.New(lab.Table.NumPaths())
-	c.Intern(novel)
+	c.intern(novel)
 	if c.NumDistinct() != lab.NumDistinct()+1 {
 		t.Errorf("clone distinct %d after intern, want %d", c.NumDistinct(), lab.NumDistinct()+1)
 	}

@@ -210,37 +210,32 @@ func EstimationLabeling(t *Table, distinct []*bitset.Bitset) *Labeling {
 	return l
 }
 
-// Build labels every element of doc with its path id. It makes two
-// passes: one to collect distinct root-to-leaf paths in first-
-// occurrence document order, one (bottom-up) to assign path ids. An
-// inconsistency between the passes (possible only if the tree is
-// mutated concurrently) is reported as an error, never a panic.
+// Build labels every element of doc with its path id. It replays the
+// tree through a PathCollector for the encoding table, then through a
+// Labeler for the ids. An inconsistency between the passes (possible
+// only if the tree is mutated concurrently) is reported as an error,
+// never a panic.
 func Build(doc *xmltree.Document) (*Labeling, error) {
-	tbl := &Table{byPath: make(map[string]int)}
-	doc.Walk(func(n *xmltree.Node) bool {
-		if !n.IsLeaf() {
-			return true
+	var paths PathCollector
+	if doc.Root != nil {
+		if err := doc.Root.Replay(&paths); err != nil {
+			return nil, err
 		}
-		p := n.PathString()
-		if _, ok := tbl.byPath[p]; !ok {
-			tbl.paths = append(tbl.paths, p)
-			tbl.pathTags = append(tbl.pathTags, strings.Split(p, "/"))
-			tbl.byPath[p] = len(tbl.paths)
-		}
-		return true
-	})
-	tbl.internTags()
-
+	}
+	tbl, err := paths.Table()
+	if err != nil {
+		return nil, err
+	}
 	l := &Labeling{
 		Table:   tbl,
 		doc:     doc,
-		pids:    make([]*bitset.Bitset, doc.NumElements()),
 		index:   make(map[string]int),
 		denseID: make(map[*bitset.Bitset]int32),
 	}
 	if doc.Root != nil {
-		if _, err := l.assign(doc.Root, []string{}); err != nil {
-			return nil, err
+		l.pids, err = l.label(doc.Root, "", doc.NumElements())
+		if err != nil {
+			return nil, fmt.Errorf("%v: %w", err, guard.ErrInternal)
 		}
 	}
 	return l, nil
@@ -257,39 +252,158 @@ func MustBuild(doc *xmltree.Document) *Labeling {
 	return l
 }
 
-// assign computes the path id of n bottom-up, interning the result.
-// prefix carries the tags above n (unused for the id itself but kept
-// for cheap leaf-path reconstruction).
-func (l *Labeling) assign(n *xmltree.Node, prefix []string) (*bitset.Bitset, error) {
-	width := l.Table.NumPaths()
-	var pid *bitset.Bitset
-	if n.IsLeaf() {
-		pid = bitset.New(width)
-		enc := l.Table.byPath[strings.Join(append(prefix, n.Tag), "/")]
-		if enc == 0 {
-			return nil, fmt.Errorf("pathenc: leaf path missing from encoding table: %s: %w", n.PathString(), guard.ErrInternal)
+// openPath is the slash-joined root-to-element path of the open
+// elements ("Root/A/B" while Root, A and B are open), so a leaf's path
+// is read off as it closes instead of re-joined from its tags.
+type openPath struct {
+	buf   []byte
+	start []int  // per open element: len(buf) before its tag
+	inner []bool // per open element: whether a child has opened
+}
+
+func (p *openPath) open(tag string) {
+	if n := len(p.inner); n > 0 {
+		p.inner[n-1] = true
+	}
+	p.start = append(p.start, len(p.buf))
+	if len(p.buf) > 0 {
+		p.buf = append(p.buf, '/')
+	}
+	p.buf = append(p.buf, tag...)
+	p.inner = append(p.inner, false)
+}
+
+// close pops the innermost element and returns its path if it is a
+// leaf, valid until the next open, or nil.
+func (p *openPath) close() []byte {
+	n := len(p.start) - 1
+	var leaf []byte
+	if !p.inner[n] {
+		leaf = p.buf
+	}
+	p.buf = p.buf[:p.start[n]]
+	p.start, p.inner = p.start[:n], p.inner[:n]
+	return leaf
+}
+
+// PathCollector is the xmltree.Handler that gathers the distinct
+// root-to-leaf paths in first-occurrence document order, the input of
+// the encoding table.
+type PathCollector struct {
+	path  openPath
+	seen  map[string]bool
+	paths []string
+}
+
+func (c *PathCollector) Open(tag string) { c.path.open(tag) }
+
+func (c *PathCollector) Text([]byte) {}
+
+func (c *PathCollector) Close() error {
+	if leaf := c.path.close(); leaf != nil && !c.seen[string(leaf)] {
+		if c.seen == nil {
+			c.seen = make(map[string]bool)
 		}
-		pid.Set(enc)
-	} else {
-		pid = bitset.New(width)
-		childPrefix := append(prefix, n.Tag)
-		for _, c := range n.Children {
-			cp, err := l.assign(c, childPrefix)
-			if err != nil {
-				return nil, err
-			}
-			pid.Or(cp)
+		p := string(leaf)
+		c.seen[p] = true
+		c.paths = append(c.paths, p)
+	}
+	return nil
+}
+
+// Table returns the encoding table of the paths collected so far.
+func (c *PathCollector) Table() (*Table, error) { return NewTable(c.paths) }
+
+// Labeler assigns path ids from element events: a leaf gets the bit of
+// its path's encoding, an inner element the bit-or of its children's
+// ids, and each id is interned as its element closes — post-order, the
+// order of Distinct.
+type Labeler struct {
+	l    *Labeling
+	path openPath
+	acc  []*bitset.Bitset // per open element: or of its closed children, nil before the first
+}
+
+// NewLabeler returns a Labeler interning into l, for events from the
+// document root.
+func NewLabeler(l *Labeling) *Labeler { return &Labeler{l: l} }
+
+// Open starts an element.
+func (lb *Labeler) Open(tag string) {
+	lb.path.open(tag)
+	lb.acc = append(lb.acc, nil)
+}
+
+// Close ends the innermost open element and returns its interned path
+// id. A leaf whose path is not in the encoding table fails with an
+// error wrapping ErrPathUnknown.
+func (lb *Labeler) Close() (*bitset.Bitset, error) {
+	n := len(lb.acc) - 1
+	pid := lb.acc[n]
+	lb.acc = lb.acc[:n]
+	if leaf := lb.path.close(); leaf != nil {
+		var err error
+		if pid, err = lb.l.Table.leafPid(leaf); err != nil {
+			return nil, err
 		}
 	}
-	pid = l.intern(pid)
-	l.pids[n.Ord] = pid
+	pid = lb.l.intern(pid)
+	if n > 0 {
+		if up := lb.acc[n-1]; up == nil {
+			lb.acc[n-1] = pid.Clone()
+		} else {
+			up.Or(pid)
+		}
+	}
 	return pid, nil
 }
 
-// Intern returns the canonical copy of pid, registering it in the
-// distinct-pid dictionary if new. The streaming statistics collector
-// uses it to deduplicate path ids as elements close.
-func (l *Labeling) Intern(pid *bitset.Bitset) *bitset.Bitset { return l.intern(pid) }
+// leafPid returns the path id of a leaf with the given root-to-leaf
+// path: the single bit of the path's encoding.
+func (t *Table) leafPid(path []byte) (*bitset.Bitset, error) {
+	enc := t.byPath[string(path)]
+	if enc == 0 {
+		return nil, fmt.Errorf("%w: %s", ErrPathUnknown, path)
+	}
+	pid := bitset.New(t.NumPaths())
+	pid.Set(enc)
+	return pid, nil
+}
+
+// preorder is the xmltree.Handler that labels a replayed subtree and
+// keeps each element's id at its preorder rank, the order of Node.Ord.
+type preorder struct {
+	lb   *Labeler
+	pids []*bitset.Bitset
+	rank []int // per open element
+}
+
+func (p *preorder) Open(tag string) {
+	p.rank = append(p.rank, len(p.pids))
+	p.pids = append(p.pids, nil)
+	p.lb.Open(tag)
+}
+
+func (p *preorder) Text([]byte) {}
+
+func (p *preorder) Close() error {
+	pid, err := p.lb.Close()
+	if err != nil {
+		return err
+	}
+	n := len(p.rank) - 1
+	p.pids[p.rank[n]] = pid
+	p.rank = p.rank[:n]
+	return nil
+}
+
+// label returns the ids of n's subtree in preorder; prefix is the path
+// of n's parent and size the subtree's element count, if known.
+func (l *Labeling) label(n *xmltree.Node, prefix string, size int) ([]*bitset.Bitset, error) {
+	p := preorder{lb: &Labeler{l: l, path: openPath{buf: []byte(prefix)}}, pids: make([]*bitset.Bitset, 0, size)}
+	err := n.Replay(&p)
+	return p.pids, err
+}
 
 // intern returns the canonical copy of pid, registering it if new.
 func (l *Labeling) intern(pid *bitset.Bitset) *bitset.Bitset {

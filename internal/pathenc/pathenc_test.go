@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"xpathest/internal/bitset"
+	"xpathest/internal/datagen"
 	"xpathest/internal/paperfig"
 	"xpathest/internal/xmltree"
 )
@@ -434,10 +435,25 @@ func stratifiedDoc(rng *rand.Rand, maxNodes int) *xmltree.Document {
 	return b.Document()
 }
 
+// BenchmarkBuildLabeling times Build on the Figure 1 document and on
+// XMark at the scale of perfbench's documents (seed 1, scale 0.125: 310
+// distinct paths, 1,899 distinct pids), where the per-element costs of
+// the tree replay, path joins and interning show.
 func BenchmarkBuildLabeling(b *testing.B) {
-	doc := paperfig.Doc()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Build(doc)
+	for _, c := range []struct {
+		name string
+		doc  *xmltree.Document
+	}{
+		{"Figure1", paperfig.Doc()},
+		{"XMark", datagen.XMark(datagen.Config{Seed: 1, Scale: 0.125})},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Build(c.doc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

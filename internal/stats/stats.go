@@ -12,6 +12,13 @@
 // These exact tables are what the p-histogram and o-histogram of
 // Section 6 summarize, and what the estimator of Sections 4–5 reads
 // (either directly, for variance 0, or through the histograms).
+//
+// There is one collector with two drivers. Its writes — the frequency
+// add (FreqTable.AddFreq), the order-cell write (OrderTables.AddOrder)
+// and the sibling-group sweep (OrderTables.ApplyGroup) — are called by
+// CollectFreq and CollectOrder walking a labeled tree, by
+// CollectStream as the XML driver (xmltree.Scan) closes elements, and,
+// with sign ±1, by the incremental maintenance of package delta.
 package stats
 
 import (
@@ -33,6 +40,17 @@ type PidFreq struct {
 // FreqTable is the PathId-Frequency table of the whole document.
 type FreqTable struct {
 	byTag map[string][]PidFreq
+	pos   map[tagPid]int // index of each entry in its tag's list
+}
+
+// tagPid keys one frequency entry by tag and interned pid instance.
+type tagPid struct {
+	tag string
+	pid *bitset.Bitset
+}
+
+func newFreqTable() *FreqTable {
+	return &FreqTable{byTag: make(map[string][]PidFreq), pos: make(map[tagPid]int)}
 }
 
 // Tags returns the element tags present, sorted.
@@ -59,24 +77,13 @@ func (t *FreqTable) NumEntries() int {
 	return n
 }
 
-// CollectFreq builds the PathId-Frequency table in one document walk.
+// CollectFreq builds the PathId-Frequency table in one document walk,
+// adding every element in preorder, so each tag's entries follow first
+// occurrence in document order.
 func CollectFreq(doc *xmltree.Document, l *pathenc.Labeling) *FreqTable {
-	pos := make(map[string]map[string]int) // tag -> pid key -> index
-	t := &FreqTable{byTag: make(map[string][]PidFreq)}
+	t := newFreqTable()
 	doc.Walk(func(n *xmltree.Node) bool {
-		pid := l.PidOf(n)
-		m, ok := pos[n.Tag]
-		if !ok {
-			m = make(map[string]int)
-			pos[n.Tag] = m
-		}
-		key := pid.Key()
-		if i, ok := m[key]; ok {
-			t.byTag[n.Tag][i].Freq++
-		} else {
-			m[key] = len(t.byTag[n.Tag])
-			t.byTag[n.Tag] = append(t.byTag[n.Tag], PidFreq{Pid: pid, Freq: 1})
-		}
+		t.AddFreq(n.Tag, l.PidOf(n), 1)
 		return true
 	})
 	return t
@@ -118,8 +125,8 @@ func (r Region) String() string {
 // before and after Y elements is counted in both regions (Section 3).
 type OrderTable struct {
 	Tag   string
-	cells map[Region]map[string]map[string]float64 // region -> pid key -> sibling tag -> count
-	pids  map[string]*bitset.Bitset                // pid key -> pid
+	cells [2]map[string]map[string]float64 // region -> pid key -> sibling tag -> count
+	pids  map[string]*bitset.Bitset        // pid key -> pid
 
 	// cellsByPid mirrors cells keyed by the interned pid instance
 	// (sharing the same inner maps), so the per-probe Get on the
@@ -127,34 +134,16 @@ type OrderTable struct {
 	// Bitset.Key() string allocation. Path ids are interned during
 	// labeling, so every pid collected here — and every pid the
 	// estimator probes with — is its canonical instance.
-	cellsByPid map[Region]map[*bitset.Bitset]map[string]float64
+	cellsByPid [2]map[*bitset.Bitset]map[string]float64
 }
 
 func newOrderTable(tag string) *OrderTable {
 	return &OrderTable{
-		Tag: tag,
-		cells: map[Region]map[string]map[string]float64{
-			Before: make(map[string]map[string]float64),
-			After:  make(map[string]map[string]float64),
-		},
-		pids: make(map[string]*bitset.Bitset),
-		cellsByPid: map[Region]map[*bitset.Bitset]map[string]float64{
-			Before: make(map[*bitset.Bitset]map[string]float64),
-			After:  make(map[*bitset.Bitset]map[string]float64),
-		},
+		Tag:        tag,
+		cells:      [2]map[string]map[string]float64{make(map[string]map[string]float64), make(map[string]map[string]float64)},
+		pids:       make(map[string]*bitset.Bitset),
+		cellsByPid: [2]map[*bitset.Bitset]map[string]float64{make(map[*bitset.Bitset]map[string]float64), make(map[*bitset.Bitset]map[string]float64)},
 	}
-}
-
-func (o *OrderTable) add(region Region, pid *bitset.Bitset, sibTag string) {
-	key := pid.Key()
-	m := o.cells[region][key]
-	if m == nil {
-		m = make(map[string]float64)
-		o.cells[region][key] = m
-		o.cellsByPid[region][pid] = m
-	}
-	m[sibTag]++
-	o.pids[key] = pid
 }
 
 // Get returns g(pid, sibTag) in the given region; 0 for empty cells.
@@ -278,45 +267,14 @@ func (ts *OrderTables) SizeBytes(pidRefBytes int) int {
 	return ts.NumCells() * (pidRefBytes + 2 + 4)
 }
 
-// CollectOrder builds every path-order table in one walk. For each
-// sibling group it sweeps left to right, maintaining per-tag counts of
-// siblings strictly before and strictly after the current child, and
-// marks the child in the Before region for every tag still to come and
-// in the After region for every tag already seen. Same-tag siblings
-// are counted like any other tag (the paper's definition does not
-// exclude Y = X, and queries such as q1[/B/folls::B] need the cells).
+// CollectOrder builds every path-order table in one walk, sweeping
+// each sibling group with ApplyGroup.
 func CollectOrder(doc *xmltree.Document, l *pathenc.Labeling) *OrderTables {
 	ts := &OrderTables{byTag: make(map[string]*OrderTable)}
+	var group []GroupMember
 	doc.Walk(func(parent *xmltree.Node) bool {
-		kids := parent.Children
-		if len(kids) < 2 {
-			return true
-		}
-		remaining := map[string]int{}
-		for _, c := range kids {
-			remaining[c.Tag]++
-		}
-		seen := map[string]int{}
-		for _, c := range kids {
-			remaining[c.Tag]--
-			tbl := ts.byTag[c.Tag]
-			if tbl == nil {
-				tbl = newOrderTable(c.Tag)
-				ts.byTag[c.Tag] = tbl
-			}
-			pid := l.PidOf(c)
-			for tag, cnt := range remaining {
-				if cnt > 0 {
-					tbl.add(Before, pid, tag)
-				}
-			}
-			for tag, cnt := range seen {
-				if cnt > 0 {
-					tbl.add(After, pid, tag)
-				}
-			}
-			seen[c.Tag]++
-		}
+		group = AppendGroup(group[:0], parent.Children, l)
+		ts.ApplyGroup(group, 1)
 		return true
 	})
 	return ts

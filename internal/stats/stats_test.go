@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"xpathest/internal/bitset"
+	"xpathest/internal/datagen"
 	"xpathest/internal/paperfig"
 	"xpathest/internal/pathenc"
 	"xpathest/internal/xmltree"
@@ -361,11 +362,22 @@ func TestSingleChildNoOrder(t *testing.T) {
 	}
 }
 
+// BenchmarkCollect times Collect over a labeled tree: the Figure 1
+// document, and XMark at perfbench's scale (seed 1, scale 0.125).
 func BenchmarkCollect(b *testing.B) {
-	doc := paperfig.Doc()
-	l := pathenc.MustBuild(doc)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Collect(doc, l)
+	for _, c := range []struct {
+		name string
+		doc  *xmltree.Document
+	}{
+		{"Figure1", paperfig.Doc()},
+		{"XMark", datagen.XMark(datagen.Config{Seed: 1, Scale: 0.125})},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			l := pathenc.MustBuild(c.doc)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Collect(c.doc, l)
+			}
+		})
 	}
 }

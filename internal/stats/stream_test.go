@@ -2,6 +2,7 @@ package stats
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"testing/quick"
 
 	"xpathest/internal/datagen"
+	"xpathest/internal/guard"
 	"xpathest/internal/paperfig"
 	"xpathest/internal/xmltree"
 )
@@ -114,33 +116,46 @@ func TestStreamErrors(t *testing.T) {
 			return io.NopCloser(strings.NewReader(xml)), nil
 		}
 	}
+	// The malformed inputs of xmltree's TestParseErrors.
 	for _, c := range []string{
 		"",
+		"   <!-- only a comment -->",
+		"<!-- nothing -->",
 		"<a><b></b>",
 		"<a></b>",
+		"<a></a><b></b>",
 		"<a/><b/>",
-		"<!-- nothing -->",
+		"not xml at all <",
 	} {
-		if _, err := CollectStream(bad(c)); err == nil {
-			t.Errorf("CollectStream(%q) succeeded", c)
+		if _, err := CollectStream(bad(c)); !errors.Is(err, guard.ErrMalformedDocument) {
+			t.Errorf("CollectStream(%q) = %v, want ErrMalformedDocument", c, err)
 		}
 	}
-	// Opener failure propagates.
+	// An opener failure passes through unchanged, in either pass.
 	fail := func() (io.ReadCloser, error) { return nil, io.ErrUnexpectedEOF }
-	if _, err := CollectStream(fail); err == nil {
-		t.Error("opener error swallowed")
+	if _, err := CollectStream(fail); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("opener error: got %v, want io.ErrUnexpectedEOF", err)
 	}
-	// Differing streams between passes are detected.
 	calls := 0
+	secondFails := func() (io.ReadCloser, error) {
+		if calls++; calls == 2 {
+			return nil, io.ErrUnexpectedEOF
+		}
+		return io.NopCloser(strings.NewReader("<a><b/></a>")), nil
+	}
+	if _, err := CollectStream(secondFails); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("pass-2 opener error: got %v, want io.ErrUnexpectedEOF", err)
+	}
+	// Differing streams between passes are the caller's fault.
+	calls = 0
 	flaky := func() (io.ReadCloser, error) {
-		calls++
-		if calls == 1 {
+		if calls++; calls == 1 {
 			return io.NopCloser(strings.NewReader("<a><b/></a>")), nil
 		}
 		return io.NopCloser(strings.NewReader("<a><c/></a>")), nil
 	}
-	if _, err := CollectStream(flaky); err == nil {
-		t.Error("differing passes not detected")
+	if _, err := CollectStream(flaky); !errors.Is(err, guard.ErrInvalidArgument) {
+		t.Errorf("differing passes: got %v, want ErrInvalidArgument", err)
 	}
 }
 
@@ -191,20 +206,32 @@ func TestQuickStreamEquivalence(t *testing.T) {
 	}
 }
 
+// BenchmarkCollectStream times both streaming passes over serialized
+// XML: SSPlays at scale 0.02, and XMark at perfbench's scale (seed 1,
+// scale 0.125).
 func BenchmarkCollectStream(b *testing.B) {
-	doc := datagen.SSPlays(datagen.Config{Seed: 1, Scale: 0.02})
-	var buf bytes.Buffer
-	if err := doc.WriteXML(&buf, false); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := CollectStream(func() (io.ReadCloser, error) {
-			return io.NopCloser(bytes.NewReader(data)), nil
-		}); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name string
+		doc  *xmltree.Document
+	}{
+		{"SSPlays", datagen.SSPlays(datagen.Config{Seed: 1, Scale: 0.02})},
+		{"XMark", datagen.XMark(datagen.Config{Seed: 1, Scale: 0.125})},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var buf bytes.Buffer
+			if err := c.doc.WriteXML(&buf, false); err != nil {
+				b.Fatal(err)
+			}
+			data := buf.Bytes()
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := CollectStream(func() (io.ReadCloser, error) {
+					return io.NopCloser(bytes.NewReader(data)), nil
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -13,8 +13,7 @@ package xmltree
 //	b.Close() // Root
 //	doc := b.Document()
 type Builder struct {
-	root  *Node
-	stack []*Node
+	t     tree
 	bytes int64
 }
 
@@ -25,18 +24,11 @@ func NewBuilder() *Builder { return &Builder{} }
 // current element (or as the root) and makes it current. It panics if
 // a second root is opened.
 func (b *Builder) Open(tag string) *Builder {
-	n := &Node{Tag: tag}
-	if len(b.stack) == 0 {
-		if b.root != nil {
-			//lint:ignore panicpolicy Builder is an in-process construction API for generators and tests; misuse is a programming error, untrusted XML goes through Parse
-			panic("xmltree: Builder: second root element " + tag)
-		}
-		b.root = n
-	} else {
-		p := b.stack[len(b.stack)-1]
-		p.Children = append(p.Children, n)
+	if len(b.t.stack) == 0 && b.t.root != nil {
+		//lint:ignore panicpolicy Builder is an in-process construction API for generators and tests; misuse is a programming error, untrusted XML goes through Parse
+		panic("xmltree: Builder: second root element " + tag)
 	}
-	b.stack = append(b.stack, n)
+	b.t.Open(tag)
 	// Approximate serialized size: <tag></tag> plus newline.
 	b.bytes += int64(2*len(tag) + 6)
 	return b
@@ -44,27 +36,22 @@ func (b *Builder) Open(tag string) *Builder {
 
 // Text appends character data to the current element.
 func (b *Builder) Text(s string) *Builder {
-	if len(b.stack) == 0 {
+	if len(b.t.stack) == 0 {
 		//lint:ignore panicpolicy Builder is an in-process construction API for generators and tests; misuse is a programming error, untrusted XML goes through Parse
 		panic("xmltree: Builder: Text outside any element")
 	}
-	top := b.stack[len(b.stack)-1]
-	if top.Text == "" {
-		top.Text = s
-	} else {
-		top.Text += " " + s
-	}
+	b.t.stack[len(b.t.stack)-1].addText(s)
 	b.bytes += int64(len(s))
 	return b
 }
 
 // Close ends the current element. It panics if no element is open.
 func (b *Builder) Close() *Builder {
-	if len(b.stack) == 0 {
+	if len(b.t.stack) == 0 {
 		//lint:ignore panicpolicy Builder is an in-process construction API for generators and tests; misuse is a programming error, untrusted XML goes through Parse
 		panic("xmltree: Builder: Close with no open element")
 	}
-	b.stack = b.stack[:len(b.stack)-1]
+	b.t.Close()
 	return b
 }
 
@@ -78,20 +65,20 @@ func (b *Builder) Leaf(tag, text string) *Builder {
 }
 
 // Depth returns the number of currently open elements.
-func (b *Builder) Depth() int { return len(b.stack) }
+func (b *Builder) Depth() int { return len(b.t.stack) }
 
 // Document finalizes and returns the built document. It panics if
 // elements remain open or nothing was built.
 func (b *Builder) Document() *Document {
-	if len(b.stack) != 0 {
+	if len(b.t.stack) != 0 {
 		//lint:ignore panicpolicy Builder is an in-process construction API for generators and tests; misuse is a programming error, untrusted XML goes through Parse
-		panic("xmltree: Builder: Document with unclosed element " + b.stack[len(b.stack)-1].Tag)
+		panic("xmltree: Builder: Document with unclosed element " + b.t.stack[len(b.t.stack)-1].Tag)
 	}
-	if b.root == nil {
+	if b.t.root == nil {
 		//lint:ignore panicpolicy Builder is an in-process construction API for generators and tests; misuse is a programming error, untrusted XML goes through Parse
 		panic("xmltree: Builder: empty document")
 	}
-	d := &Document{Root: b.root, Bytes: b.bytes}
+	d := &Document{Root: b.t.root, Bytes: b.bytes}
 	d.finalize()
 	return d
 }

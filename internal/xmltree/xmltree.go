@@ -11,10 +11,9 @@
 package xmltree
 
 import (
+	"bytes"
 	"context"
 	"encoding/xml"
-	"errors"
-	"fmt"
 	"io"
 	"strings"
 
@@ -109,10 +108,15 @@ func (d *Document) Tags() map[string]int { return d.tags }
 // Walk visits every element of the document in document order. If fn
 // returns false the walk stops.
 func (d *Document) Walk(fn func(*Node) bool) {
-	if d.Root == nil {
-		return
+	if d.Root != nil {
+		d.Root.Walk(fn)
 	}
-	stack := []*Node{d.Root}
+}
+
+// Walk visits every element of n's subtree, n first, in document
+// order. If fn returns false the walk stops.
+func (n *Node) Walk(fn func(*Node) bool) {
+	stack := []*Node{n}
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -157,101 +161,19 @@ func Parse(r io.Reader) (*Document, error) {
 	return ParseContext(nil, r, guard.Limits{})
 }
 
-// ctxCheckEvery is how many decoder tokens ParseContext consumes
-// between context-cancellation checks — frequent enough that a
-// canceled parse of a huge document stops promptly, rare enough that
-// the check never shows up in profiles.
-const ctxCheckEvery = 1024
-
-// wrapTokenErr classifies a decoder token error: XML syntax errors are
-// the document's fault and wrap guard.ErrMalformedDocument; anything
-// else (a reader timeout, a canceled body) keeps its own identity so
-// the serving layer can map it to the right status.
-func wrapTokenErr(op string, err error) error {
-	var syn *xml.SyntaxError
-	if errors.As(err, &syn) {
-		return fmt.Errorf("%s: %v: %w", op, err, guard.ErrMalformedDocument)
-	}
-	return fmt.Errorf("%s: %w", op, err)
-}
-
-// ParseContext is Parse under a context and resource limits: nesting
-// depth, element count and consumed bytes are checked as the token
+// ParseContext is Parse under a context and resource limits: Scan
+// checks nesting depth, element count and consumed bytes as the token
 // stream is read, so a hostile document (e.g. a deep-nesting bomb)
 // fails fast with an error wrapping guard.ErrLimitExceeded instead of
 // exhausting the process; cancellation is honored at token-loop
 // boundaries with an error wrapping guard.ErrCanceled.
 func ParseContext(ctx context.Context, r io.Reader, lim guard.Limits) (*Document, error) {
-	cr := &countingReader{r: r}
-	dec := xml.NewDecoder(cr)
-	var (
-		root     *Node
-		stack    []*Node
-		elements int
-		tokens   int
-	)
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, wrapTokenErr("xmltree: parse", err)
-		}
-		tokens++
-		if tokens%ctxCheckEvery == 0 {
-			if err := guard.CheckContext(ctx); err != nil {
-				return nil, fmt.Errorf("xmltree: parse: %w", err)
-			}
-		}
-		if err := lim.CheckDocumentBytes(cr.n); err != nil {
-			return nil, fmt.Errorf("xmltree: parse: %w", err)
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			n := &Node{Tag: t.Name.Local}
-			if len(stack) == 0 {
-				if root != nil {
-					return nil, fmt.Errorf("xmltree: multiple root elements (%q and %q): %w", root.Tag, n.Tag, guard.ErrMalformedDocument)
-				}
-				root = n
-			} else {
-				p := stack[len(stack)-1]
-				p.Children = append(p.Children, n)
-			}
-			stack = append(stack, n)
-			elements++
-			if err := lim.CheckDepth(len(stack)); err != nil {
-				return nil, fmt.Errorf("xmltree: parse: %w", err)
-			}
-			if err := lim.CheckElements(elements); err != nil {
-				return nil, fmt.Errorf("xmltree: parse: %w", err)
-			}
-		case xml.EndElement:
-			if len(stack) == 0 {
-				return nil, fmt.Errorf("xmltree: unbalanced end element %q: %w", t.Name.Local, guard.ErrMalformedDocument)
-			}
-			stack = stack[:len(stack)-1]
-		case xml.CharData:
-			if len(stack) > 0 {
-				if s := strings.TrimSpace(string(t)); s != "" {
-					top := stack[len(stack)-1]
-					if top.Text == "" {
-						top.Text = s
-					} else {
-						top.Text += " " + s
-					}
-				}
-			}
-		}
+	var t tree
+	n, err := Scan(ctx, r, lim, &t)
+	if err != nil {
+		return nil, err
 	}
-	if root == nil {
-		return nil, fmt.Errorf("xmltree: document has no element: %w", guard.ErrMalformedDocument)
-	}
-	if len(stack) != 0 {
-		return nil, fmt.Errorf("xmltree: unclosed element %q: %w", stack[len(stack)-1].Tag, guard.ErrMalformedDocument)
-	}
-	doc := &Document{Root: root, Bytes: cr.n}
+	doc := &Document{Root: t.root, Bytes: n}
 	doc.finalize()
 	return doc, nil
 }
@@ -261,15 +183,45 @@ func ParseString(s string) (*Document, error) {
 	return Parse(strings.NewReader(s))
 }
 
-type countingReader struct {
-	r io.Reader
-	n int64
+// tree is the Handler ParseContext builds the element tree with, and
+// the tree a Builder fills. It checks neither a second root nor
+// unbalanced events: Scan rejects both, Builder panics on them.
+type tree struct {
+	root  *Node
+	stack []*Node
 }
 
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
+func (t *tree) Open(tag string) {
+	n := &Node{Tag: tag}
+	if len(t.stack) == 0 {
+		t.root = n
+	} else {
+		p := t.stack[len(t.stack)-1]
+		p.Children = append(p.Children, n)
+	}
+	t.stack = append(t.stack, n)
+}
+
+// Text adds trimmed character data to the open element.
+func (t *tree) Text(data []byte) {
+	if data = bytes.TrimSpace(data); len(data) > 0 {
+		t.stack[len(t.stack)-1].addText(string(data))
+	}
+}
+
+// addText appends a run of character data to n's text, one space
+// between runs.
+func (n *Node) addText(s string) {
+	if n.Text == "" {
+		n.Text = s
+	} else {
+		n.Text += " " + s
+	}
+}
+
+func (t *tree) Close() error {
+	t.stack = t.stack[:len(t.stack)-1]
+	return nil
 }
 
 // WriteXML serializes the document as XML to w. Text content is

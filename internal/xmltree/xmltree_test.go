@@ -2,11 +2,14 @@ package xmltree
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"xpathest/internal/guard"
 )
 
 const figure1XML = `<Root>
@@ -97,21 +100,26 @@ func TestParseText(t *testing.T) {
 	}
 }
 
+// TestParseErrors pins the error kind of malformed input. The
+// streaming collector's TestStreamErrors runs the same inputs through
+// its two Scan passes.
 func TestParseErrors(t *testing.T) {
 	cases := []struct {
 		name, in string
 	}{
 		{"empty", ""},
 		{"no element", "   <!-- only a comment -->"},
+		{"comment only", "<!-- nothing -->"},
 		{"unclosed", "<a><b></b>"},
 		{"mismatched", "<a></b>"},
 		{"two roots", "<a></a><b></b>"},
+		{"two empty roots", "<a/><b/>"},
 		{"garbage", "not xml at all <"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if _, err := ParseString(c.in); err == nil {
-				t.Fatalf("ParseString(%q) succeeded, want error", c.in)
+			if _, err := ParseString(c.in); !errors.Is(err, guard.ErrMalformedDocument) {
+				t.Fatalf("ParseString(%q) = %v, want ErrMalformedDocument", c.in, err)
 			}
 		})
 	}

@@ -247,10 +247,21 @@ type SummaryOptions struct {
 	// 0–4.
 	OVariance float64
 
-	// Exact bypasses the histograms entirely and estimates from the
-	// uncompressed tables (equivalent to both variances at 0, but
-	// without histogram construction cost).
+	// Exact estimates from the uncompressed tables instead of the
+	// histograms (equivalent to both variances at 0) and reports the
+	// tables' sizes. It saves no construction time: the histograms are
+	// still built, at variance 0, because Save writes them; a saved
+	// Exact summary loads back as those histograms.
 	Exact bool
+}
+
+// thresholds returns the variance thresholds the summary's histograms
+// are built at: 0 for an Exact summary.
+func (o SummaryOptions) thresholds() (pVar, oVar float64) {
+	if o.Exact {
+		return 0, 0
+	}
+	return o.PVariance, o.OVariance
 }
 
 // Validate reports whether the options violate a documented
@@ -308,33 +319,47 @@ func (d *Document) BuildSummary(opts SummaryOptions) *Summary {
 // buildSummary is the body of BuildSummary and BuildSummaryContext; a
 // nil ctx never cancels.
 func (d *Document) buildSummary(ctx context.Context, opts SummaryOptions) (*Summary, error) {
-	s := &Summary{opts: opts, lab: d.lab, tree: d.tree, src: d, epoch: d.Epoch()}
-	n := d.lab.NumDistinct()
-	pv, ov := opts.PVariance, opts.OVariance
-	if opts.Exact {
-		// Keep variance-0 histograms around so an Exact summary can
-		// still be serialized (they are equivalent).
-		pv, ov = 0, 0
-	}
-	ps, err := histogram.BuildPSetContext(ctx, d.tables.Freq, n, pv)
+	s, err := summarize(ctx, opts, d.lab, d.tree, d.tables)
 	if err != nil {
 		return nil, err
 	}
-	os, err := histogram.BuildOSetContext(ctx, d.tables.Order, ps, n, ov)
+	s.src, s.epoch = d, d.Epoch()
+	return s, nil
+}
+
+// summarize builds the histograms of a labeled document's tables and
+// assembles its summary; BuildSummary and SummarizeStream share it.
+func summarize(ctx context.Context, opts SummaryOptions, lab *pathenc.Labeling, tree *pidtree.Tree, tables *stats.Tables) (*Summary, error) {
+	n := lab.NumDistinct()
+	pv, ov := opts.thresholds()
+	ps, err := histogram.BuildPSetContext(ctx, tables.Freq, n, pv)
 	if err != nil {
 		return nil, err
 	}
-	s.ps, s.os = ps, os
+	os, err := histogram.BuildOSetContext(ctx, tables.Order, ps, n, ov)
+	if err != nil {
+		return nil, err
+	}
+	return newSummary(opts, lab, tree, tables, ps, os), nil
+}
+
+// newSummary is the one assembler of a Summary, whatever built its
+// parts: an Exact summary estimates from the tables and reports their
+// sizes, any other from the histograms. tables may be nil only when
+// opts is not Exact.
+func newSummary(opts SummaryOptions, lab *pathenc.Labeling, tree *pidtree.Tree, tables *stats.Tables, ps *histogram.PSet, os *histogram.OSet) *Summary {
+	s := &Summary{opts: opts, lab: lab, tree: tree, ps: ps, os: os}
 	if opts.Exact {
-		s.est = core.New(d.lab, core.TableSource{Tables: d.tables})
-		s.pBytes = d.tables.Freq.SizeBytes(pidRefBytes(n))
-		s.oBytes = d.tables.Order.SizeBytes(pidRefBytes(n))
+		n := lab.NumDistinct()
+		s.est = core.New(lab, core.TableSource{Tables: tables})
+		s.pBytes = tables.Freq.SizeBytes(pidRefBytes(n))
+		s.oBytes = tables.Order.SizeBytes(pidRefBytes(n))
 	} else {
-		s.est = core.New(d.lab, core.HistogramSource{P: ps, O: os})
+		s.est = core.New(lab, core.HistogramSource{P: ps, O: os})
 		s.pBytes = ps.SizeBytes()
 		s.oBytes = os.SizeBytes()
 	}
-	return s, nil
+	return s
 }
 
 // Estimate returns the estimated selectivity of the query's target

@@ -325,48 +325,57 @@ func TestSummaryConcurrentUse(t *testing.T) {
 	}
 }
 
-// TestSummarizeFileMatchesInMemory verifies the streaming path end to
-// end: a summary built from serialized XML without the tree estimates
-// identically to one built from the parsed document.
+// TestSummarizeFileMatchesInMemory holds the streaming route to the
+// tree route bit for bit: on every dataset and option set, a summary
+// built from serialized XML without the tree saves the same bytes,
+// reports the same Sizes and returns the same estimate bits as one
+// built from the parsed document.
 func TestSummarizeFileMatchesInMemory(t *testing.T) {
-	d, err := GenerateDataset(SSPlays, 13, 0.02)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inMem := d.BuildSummary(SummaryOptions{PVariance: 1, OVariance: 2})
-
-	// Serialize the same document to a temp file.
-	f, err := os.CreateTemp(t.TempDir(), "*.xml")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.WriteXML(f, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	streamed, err := SummarizeFile(f.Name(), SummaryOptions{PVariance: 1, OVariance: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range []string{
-		"//PLAY/ACT/SCENE",
-		"//SCENE[/TITLE]/SPEECH",
-		"//ACT[/TITLE/folls::SCENE!]",
-		"//SCENE/SPEECH[1]",
-	} {
-		want, err := inMem.Estimate(q)
+	for _, ds := range []Dataset{SSPlays, DBLP, XMark} {
+		d, err := GenerateDataset(ds, 13, 0.01)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := streamed.Estimate(q)
+		f, err := os.CreateTemp(t.TempDir(), "*.xml")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(got-want) > 1e-9 {
-			t.Fatalf("%s: streamed %v, in-memory %v", q, got, want)
+		if err := d.WriteXML(f, false); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var queries []string
+		for _, q := range d.GenerateWorkload(WorkloadOptions{Seed: 13, NumSimple: 40, NumBranch: 40}) {
+			queries = append(queries, q.Query)
+		}
+		for _, opts := range []SummaryOptions{{}, {PVariance: 1, OVariance: 2}, {Exact: true}} {
+			inMem := d.BuildSummary(opts)
+			streamed, err := SummarizeFile(f.Name(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want, got bytes.Buffer
+			if err := inMem.Save(&want); err != nil {
+				t.Fatal(err)
+			}
+			if err := streamed.Save(&got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Errorf("%s %+v: streamed summary saves different bytes", ds, opts)
+			}
+			if g, w := streamed.Sizes(), inMem.Sizes(); g != w {
+				t.Errorf("%s %+v: streamed Sizes %+v, in-memory %+v", ds, opts, g, w)
+			}
+			for _, q := range queries {
+				w, werr := inMem.Estimate(q)
+				g, gerr := streamed.Estimate(q)
+				if (gerr != nil) != (werr != nil) || math.Float64bits(g) != math.Float64bits(w) {
+					t.Errorf("%s %+v %s: streamed %v (%v), in-memory %v (%v)", ds, opts, q, g, gerr, w, werr)
+				}
+			}
 		}
 	}
 	if _, err := SummarizeFile("/does/not/exist.xml", SummaryOptions{}); err == nil {
