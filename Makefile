@@ -151,7 +151,7 @@ cover:
 	$(GO) run ./cmd/covercheck -profile $(COVERPROFILE) -floors coverage-floors.txt
 
 # Differential correctness smoke (docs/TESTING.md): fixed seed range,
-# exact-evaluator oracle against five estimator paths, hard invariants,
+# exact-evaluator oracle against six estimator paths, hard invariants,
 # shrunk repros on failure. Runs in seconds; the nightly variant
 # sweeps a much larger range.
 difftest-smoke:

@@ -8,6 +8,9 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"xpathest/internal/bitset"
+	"xpathest/internal/summaryio"
 )
 
 const smallXML = `<site><people><person><name>a</name></person><person><name>b</name></person></people><items><item/><item/></items></site>`
@@ -146,10 +149,35 @@ func TestEstimateContextMalformedQuery(t *testing.T) {
 	}
 }
 
-// TestReadSummaryCorrupt is the ISSUE's table: ReadSummary returns an
-// error wrapping ErrCorruptSummary — not a panic and not a silent
-// zero-value summary — for truncated streams, flipped checksum bytes,
-// and version-mismatch headers.
+// repeatedPidStream is a well-formed summary stream whose pid
+// dictionary lists its first pid twice: a copy ahead of the instance
+// the histograms reference. Encode never writes one. The document has
+// 3 paths and 5 distinct pids, so the copy stays under the decoder's
+// 2^3-1 pid bound and the stream decodes; only loading can reject it.
+func repeatedPidStream(t testing.TB) []byte {
+	t.Helper()
+	d, err := ParseDocumentString(applyTestDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := d.BuildSummary(SummaryOptions{})
+	distinct := s.lab.Distinct()
+	dict := append([]*bitset.Bitset{distinct[0].Clone()}, distinct...)
+	var buf bytes.Buffer
+	if err := summaryio.Encode(&buf, s.lab.Table, dict, s.ps, s.os); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := summaryio.Decode(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatalf("repeated-pid stream does not decode: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// TestReadSummaryCorrupt is the table of corrupt streams: ReadSummary
+// and ReadSummaryFileContext return an error wrapping
+// ErrCorruptSummary — not a panic and not a silent zero-value summary
+// — for truncated streams, flipped checksum bytes, version-mismatch
+// headers, and a pid dictionary that lists one pid twice.
 func TestReadSummaryCorrupt(t *testing.T) {
 	good := savedSummary(t)
 
@@ -169,6 +197,7 @@ func TestReadSummaryCorrupt(t *testing.T) {
 		{"truncated checksum", good[:len(good)-2]},
 		{"flipped checksum byte", flipChecksum},
 		{"version mismatch", badVersion},
+		{"pid listed twice", repeatedPidStream(t)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -178,6 +207,13 @@ func TestReadSummaryCorrupt(t *testing.T) {
 			}
 			if !errors.Is(err, ErrCorruptSummary) {
 				t.Fatalf("error %v does not wrap ErrCorruptSummary", err)
+			}
+			s, err = ReadSummaryFileContext(context.Background(), c.data, DefaultLimits())
+			if err == nil {
+				t.Fatalf("corrupt file accepted: %+v", s)
+			}
+			if !errors.Is(err, ErrCorruptSummary) {
+				t.Fatalf("file error %v does not wrap ErrCorruptSummary", err)
 			}
 		})
 	}

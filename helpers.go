@@ -1,6 +1,7 @@
 package xpathest
 
 import (
+	"fmt"
 	"io"
 
 	"xpathest/internal/histogram"
@@ -22,7 +23,7 @@ func summaryDecodeLimited(r io.Reader, maxBytes int64) (*pathenc.Labeling, *hist
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return pathenc.EstimationLabeling(p.Table, p.Distinct), p.P, p.O, nil
+	return decodedLabeling(p)
 }
 
 // summaryDecodeBytes is the whole-file variant: data must hold exactly
@@ -32,7 +33,20 @@ func summaryDecodeBytes(data []byte, maxBytes int64) (*pathenc.Labeling, *histog
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return pathenc.EstimationLabeling(p.Table, p.Distinct), p.P, p.O, nil
+	return decodedLabeling(p)
+}
+
+// decodedLabeling interns a decoded pid dictionary into the labeling
+// the histograms are read through. Encode never lists a pid twice; a
+// stream that does is corrupt, since its histograms could hold an
+// instance the labeling did not intern, which pointer-keyed lookups
+// would read as absent.
+func decodedLabeling(p *summaryio.Payload) (*pathenc.Labeling, *histogram.PSet, *histogram.OSet, error) {
+	lab := pathenc.EstimationLabeling(p.Table, p.Distinct)
+	if lab.NumDistinct() < len(p.Distinct) {
+		return nil, nil, nil, fmt.Errorf("xpathest: summary pid dictionary lists %d pids, %d of them distinct: %w", len(p.Distinct), lab.NumDistinct(), ErrCorruptSummary)
+	}
+	return lab, p.P, p.O, nil
 }
 
 // pidRefBytes mirrors the summary cost model: a path-id reference is 2

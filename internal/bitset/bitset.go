@@ -146,6 +146,25 @@ func (b *Bitset) Equal(other *Bitset) bool {
 	return true
 }
 
+// Compare orders two equal-width bit sequences as binary numbers,
+// position 1 most significant, the order of Figure 1(c): it returns
+// -1, 0 or +1 as a is below, equal to or above b. Comparing the words
+// in index order gives exactly the order of the String forms. The
+// widths must match.
+func Compare(a, b *Bitset) int {
+	a.checkWidth(b)
+	bw := b.words[:len(a.words)]
+	for i, w := range a.words {
+		if v := bw[i]; w != v {
+			if w < v {
+				return -1
+			}
+			return 1
+		}
+	}
+	return 0
+}
+
 // Contains reports whether b contains other in the sense of Section 2,
 // Case 2 of the paper: b != other and (b & other) == other. Note that
 // containment is strict; use ContainsOrEqual for the reflexive variant.

@@ -348,6 +348,36 @@ func TestQuickStringRoundTrip(t *testing.T) {
 	}
 }
 
+// Property: Compare has the sign of strings.Compare on the String
+// forms. The second of each pair is the first with a random-length
+// suffix re-drawn, so the first differing bit falls in every word of
+// the wider sets; every fourth pair is left equal.
+func TestCompareMatchesString(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for _, width := range []int{1, 63, 64, 65, 130, 310} {
+		for i := 0; i < 300; i++ {
+			a := randomBitset(rng, width)
+			b := a.Clone()
+			if i%4 != 0 {
+				for pos := 1 + rng.Intn(width); pos <= width; pos++ {
+					if rng.Intn(2) == 1 {
+						b.Set(pos)
+					} else {
+						b.Clear(pos)
+					}
+				}
+			}
+			want := strings.Compare(a.String(), b.String())
+			if got := Compare(a, b); got != want {
+				t.Fatalf("width %d: Compare(%s, %s) = %d, want %d", width, a, b, got, want)
+			}
+			if got := Compare(b, a); got != -want {
+				t.Fatalf("width %d: Compare(%s, %s) = %d, want %d", width, b, a, got, -want)
+			}
+		}
+	}
+}
+
 // Property: Ones and Count agree, and Set(pos) for each reported one
 // reconstructs the set.
 func TestQuickOnesReconstruction(t *testing.T) {

@@ -82,10 +82,6 @@ type snapshot struct {
 	// summation order.
 	totals []float64
 
-	// local maps each tag's interned pids to global entry indices for
-	// rawFreq's identity fast path.
-	local []map[*bitset.Bitset]int32
-
 	// idx routes the join's containment sweeps; nil for one-word rows
 	// (a row test costs no more than an index probe), for sparse
 	// snapshots, and for arenas whose index would pass
@@ -372,7 +368,6 @@ func buildSnapshot(lab *pathenc.Labeling, src Source) *snapshot {
 		names:  tags,
 		spans:  make([]span, len(tags)),
 		totals: make([]float64, len(tags)),
-		local:  make([]map[*bitset.Bitset]int32, len(tags)),
 		sparse: overArenaCap(total, stride),
 	}
 	s.cols = stats.NewColumns(width, total)
@@ -384,7 +379,6 @@ func buildSnapshot(lab *pathenc.Labeling, src Source) *snapshot {
 	for i, tag := range tags {
 		s.tagID[tag] = int32(i)
 		s.spans[i] = span{base: g, n: int32(len(entryLists[i]))}
-		s.local[i] = make(map[*bitset.Bitset]int32, len(entryLists[i]))
 		sum := 0.0
 		for _, e := range entryLists[i] {
 			if s.sparse {
@@ -393,7 +387,6 @@ func buildSnapshot(lab *pathenc.Labeling, src Source) *snapshot {
 			} else {
 				s.cols.Append(e)
 			}
-			s.local[i][e.Pid] = g
 			sum += e.Freq
 			g++
 		}
@@ -413,7 +406,9 @@ func buildSnapshot(lab *pathenc.Labeling, src Source) *snapshot {
 // canonical order two equivalent sources could differ in the last
 // bits of an estimate — which would break the bit-determinism the
 // differential harness (and any cache keyed on estimates) relies on.
-// The copy also keeps the source's own slice unmutated.
+// The copy also keeps the source's own slice unmutated. The order is
+// Key() byte order, which is not bit order (Key lays each word out
+// least significant byte first); estimate bits are pinned to it.
 func canonicalEntries(src []stats.PidFreq) []stats.PidFreq {
 	keys := make([]string, len(src))
 	idx := make([]int, len(src))
@@ -444,26 +439,6 @@ func (s *snapshot) tagSpan(tag string) span {
 func (s *snapshot) tagTotal(tag string) float64 {
 	if id, ok := s.tagID[tag]; ok {
 		return s.totals[id]
-	}
-	return 0
-}
-
-// rawFreq returns the unfiltered source frequency of a pid under a
-// tag, 0 when absent. Canonical pids hit the identity index; an
-// equal-bits duplicate falls back to a scan of the tag's rows.
-func (s *snapshot) rawFreq(tag string, pid *bitset.Bitset) float64 {
-	id, ok := s.tagID[tag]
-	if !ok {
-		return 0
-	}
-	if g, ok := s.local[id][pid]; ok {
-		return s.cols.Freqs[g]
-	}
-	sp := s.spans[id]
-	for g := sp.base; g < sp.base+sp.n; g++ {
-		if s.cols.Pids[g].Equal(pid) {
-			return s.cols.Freqs[g]
-		}
 	}
 	return 0
 }

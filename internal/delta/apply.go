@@ -420,9 +420,9 @@ func sortedTags(sets ...map[string]bool) []string {
 //     carry encodings exactly 1..NumPaths (so the kept encoding table
 //     is the one a rebuild would emit, and no table path vanished);
 //   - the distinct pids, by first occurrence in bottom-up (post-order)
-//     interning order, carry dense ids exactly 0..NumDistinct-1 (so
-//     the maintained distinct-pid list matches a rebuild's, with no
-//     orphan left behind by the edit);
+//     interning order, are exactly the instances of l.Distinct() in
+//     order (so the maintained distinct-pid list matches a rebuild's,
+//     with no orphan left behind by the edit);
 //   - each tag's frequency entries, by first occurrence in document
 //     order, sit at exactly their maintained list positions, and every
 //     maintained (tag, entry) is reached.
@@ -433,8 +433,9 @@ func alignmentOK(doc *xmltree.Document, l *pathenc.Labeling, ft *stats.FreqTable
 	var (
 		nextPath     = 1
 		pathSeen     = make([]bool, l.Table.NumPaths()+1)
-		nextDistinct = int32(0)
-		distinctSeen = make([]bool, l.NumDistinct())
+		distinct     = l.Distinct()
+		nextDistinct = 0
+		distinctSeen = make(map[*bitset.Bitset]bool, len(distinct))
 		entryNext    = map[string]int{}
 		entrySeen    = map[string]map[*bitset.Bitset]bool{}
 		ok           = true
@@ -470,7 +471,7 @@ func alignmentOK(doc *xmltree.Document, l *pathenc.Labeling, ft *stats.FreqTable
 		if !seen[pid] {
 			entries := ft.Entries(n.Tag)
 			i := entryNext[n.Tag]
-			if i >= len(entries) || !(entries[i].Pid == pid || entries[i].Pid.Equal(pid)) {
+			if i >= len(entries) || entries[i].Pid != pid {
 				ok = false
 				return
 			}
@@ -485,17 +486,12 @@ func alignmentOK(doc *xmltree.Document, l *pathenc.Labeling, ft *stats.FreqTable
 		}
 		// Distinct-pid first-occurrence order (post-order position,
 		// matching the bottom-up interning of pathenc.Build).
-		id, known := l.DenseID(pid)
-		if !known || id < 0 || int(id) >= len(distinctSeen) {
-			ok = false
-			return
-		}
-		if !distinctSeen[id] {
-			if id != nextDistinct {
+		if !distinctSeen[pid] {
+			if nextDistinct >= len(distinct) || distinct[nextDistinct] != pid {
 				ok = false
 				return
 			}
-			distinctSeen[id] = true
+			distinctSeen[pid] = true
 			nextDistinct++
 		}
 	}
@@ -506,7 +502,7 @@ func alignmentOK(doc *xmltree.Document, l *pathenc.Labeling, ft *stats.FreqTable
 	if nextPath != l.Table.NumPaths()+1 {
 		return false
 	}
-	if int(nextDistinct) != l.NumDistinct() {
+	if nextDistinct != len(distinct) {
 		return false
 	}
 	if len(entryNext) != ft.NumTags() {

@@ -1,7 +1,7 @@
 // Package difftest is the randomized differential-correctness harness:
 // it manufactures (document, query) pairs far nastier than the three
 // datagen datasets, compares the exact evaluator against the estimator
-// run five independent ways, enforces the paper's hard invariants
+// run six independent ways, enforces the paper's hard invariants
 // (§2 Cases 1–2 exactness, non-negativity, the tag-frequency bound,
 // predicate monotonicity, bit-identity across estimator paths), and
 // shrinks any failing pair to a minimal repro that can be committed to

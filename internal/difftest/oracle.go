@@ -140,7 +140,7 @@ const (
 	// InjectNone is normal operation.
 	InjectNone = ""
 	// InjectOvercountDesc adds 1 to every estimate of a query with a
-	// descendant step — a simulated join-kernel overcount. All five
+	// descendant step — a simulated join-kernel overcount. All six
 	// paths are affected identically, so exactness and the tag bound
 	// catch it, not path agreement.
 	InjectOvercountDesc = "overcount-desc"

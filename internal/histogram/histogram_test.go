@@ -12,7 +12,22 @@ import (
 	"xpathest/internal/xmltree"
 )
 
-func pid(s string) *bitset.Bitset { return bitset.MustFromString(s) }
+// figure1 holds the tables of the Figure 1 document, shared read-only
+// by the tests so that pid can resolve bit strings against its
+// labeling.
+var figure1 = stats.Collect(paperfig.Doc(), nil)
+
+// pid returns the Figure 1 labeling's interned instance of the pid
+// spelled s, the instance histograms built from figure1 are keyed by.
+// Every pid of Figures 1, 2 and 7 is one of its nine.
+func pid(s string) *bitset.Bitset {
+	for _, p := range figure1.Labeling.Distinct() {
+		if p.String() == s {
+			return p
+		}
+	}
+	panic("no Figure 1 pid " + s)
+}
 
 // figure7Entries is the pathid-frequency list of Figure 7:
 // (p2,2) (p3,2) (p1,5) (p5,7).
@@ -108,17 +123,8 @@ func TestPidOrderSortedByFrequency(t *testing.T) {
 	}
 }
 
-// buildOrderGrid constructs an OrderTable directly through the stats
-// collector by building a document whose sibling structure realizes
-// the wanted cells... too indirect; instead use the collector on the
-// paper document for realistic tables and a handcrafted one here.
-func figure1Tables(t testing.TB) *stats.Tables {
-	t.Helper()
-	return stats.Collect(paperfig.Doc(), nil)
-}
-
 func TestBuildOFigure1B(t *testing.T) {
-	tbs := figure1Tables(t)
+	tbs := figure1
 	bTable := tbs.Order.Table("B")
 	ph := BuildP("B", tbs.Freq.Entries("B"), 0)
 	h := BuildO(bTable, ph.PidOrder(), 0)
@@ -223,7 +229,7 @@ func TestBuildOBoxGrowth(t *testing.T) {
 }
 
 func TestBuildONegativeThresholdPanics(t *testing.T) {
-	tbs := figure1Tables(t)
+	tbs := figure1
 	defer func() {
 		if recover() == nil {
 			t.Fatal("negative threshold did not panic")
@@ -233,7 +239,7 @@ func TestBuildONegativeThresholdPanics(t *testing.T) {
 }
 
 func TestPSetAndOSet(t *testing.T) {
-	tbs := figure1Tables(t)
+	tbs := figure1
 	n := tbs.Labeling.NumDistinct()
 	ps := BuildPSet(tbs.Freq, n, 0)
 	if got := len(ps.Tags()); got != 7 {
@@ -476,7 +482,7 @@ func TestBuildPEquiCount(t *testing.T) {
 }
 
 func TestBuildPSetEquiCountMatchesMemory(t *testing.T) {
-	tbs := figure1Tables(t)
+	tbs := figure1
 	n := tbs.Labeling.NumDistinct()
 	ref := BuildPSet(tbs.Freq, n, 2)
 	equi := BuildPSetEquiCount(tbs.Freq, n, ref)

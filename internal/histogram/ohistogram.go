@@ -36,8 +36,7 @@ type OHistogram struct {
 	Rows    []RowKey
 	Buckets []OBucket
 
-	colIdx     map[string]int
-	colIdxPtr  map[*bitset.Bitset]int // identity-keyed mirror of colIdx for interned pids
+	colOf      map[*bitset.Bitset]int // interned pid -> column
 	rowIdx     map[RowKey]int
 	cellBucket map[cell]int
 }
@@ -63,31 +62,28 @@ func BuildO(table *stats.OrderTable, pidOrder []*bitset.Bitset, threshold float6
 	}
 	h := &OHistogram{
 		Tag:        table.Tag,
-		colIdx:     make(map[string]int),
-		colIdxPtr:  make(map[*bitset.Bitset]int),
+		colOf:      make(map[*bitset.Bitset]int),
 		rowIdx:     make(map[RowKey]int),
 		cellBucket: make(map[cell]int),
 	}
 
 	// Column order: p-histogram order restricted to the table's pids,
-	// then stragglers.
-	inTable := map[string]bool{}
-	for _, p := range table.Pids() {
-		inTable[p.Key()] = true
+	// then stragglers. A table pid waits in colOf at -1 until placed.
+	pids := table.Pids()
+	for _, p := range pids {
+		h.colOf[p] = -1
+	}
+	place := func(p *bitset.Bitset) {
+		if c, ok := h.colOf[p]; ok && c < 0 {
+			h.colOf[p] = len(h.Cols)
+			h.Cols = append(h.Cols, p)
+		}
 	}
 	for _, p := range pidOrder {
-		if inTable[p.Key()] && !containsKey(h.colIdx, p.Key()) {
-			h.colIdx[p.Key()] = len(h.Cols)
-			h.colIdxPtr[p] = len(h.Cols)
-			h.Cols = append(h.Cols, p)
-		}
+		place(p)
 	}
-	for _, p := range table.Pids() {
-		if !containsKey(h.colIdx, p.Key()) {
-			h.colIdx[p.Key()] = len(h.Cols)
-			h.colIdxPtr[p] = len(h.Cols)
-			h.Cols = append(h.Cols, p)
-		}
+	for _, p := range pids {
+		place(p)
 	}
 
 	sibs := table.SibTags()
@@ -180,11 +176,6 @@ func BuildO(table *stats.OrderTable, pidOrder []*bitset.Bitset, threshold float6
 	return h
 }
 
-func containsKey(m map[string]int, k string) bool {
-	_, ok := m[k]
-	return ok
-}
-
 // RestoreO rebuilds an o-histogram from its serialized parts: the
 // column pids, the row keys and the bucket list.
 func RestoreO(tag string, cols []*bitset.Bitset, rows []RowKey, buckets []OBucket) *OHistogram {
@@ -193,14 +184,12 @@ func RestoreO(tag string, cols []*bitset.Bitset, rows []RowKey, buckets []OBucke
 		Cols:       cols,
 		Rows:       rows,
 		Buckets:    buckets,
-		colIdx:     make(map[string]int, len(cols)),
-		colIdxPtr:  make(map[*bitset.Bitset]int, len(cols)),
+		colOf:      make(map[*bitset.Bitset]int, len(cols)),
 		rowIdx:     make(map[RowKey]int, len(rows)),
 		cellBucket: make(map[cell]int),
 	}
 	for i, p := range cols {
-		h.colIdx[p.Key()] = i
-		h.colIdxPtr[p] = i
+		h.colOf[p] = i
 	}
 	for i, k := range rows {
 		h.rowIdx[k] = i
@@ -241,15 +230,11 @@ func (s *OSet) Histograms() []*OHistogram {
 // Get returns the (approximate) g(pid, sibTag) of the given region:
 // the average of the covering bucket, or 0 when the cell lies outside
 // every bucket (in particular when the pid or tag never co-occur).
+// Columns hold the labeling's interned instances and pid must be one.
 func (h *OHistogram) Get(region stats.Region, pid *bitset.Bitset, sibTag string) float64 {
-	// Probes with canonical (interned) pid instances hit the identity
-	// index and avoid the Key() string allocation; duplicates fall back.
-	c, ok := h.colIdxPtr[pid]
+	c, ok := h.colOf[pid]
 	if !ok {
-		c, ok = h.colIdx[pid.Key()]
-		if !ok {
-			return 0
-		}
+		return 0
 	}
 	r, ok := h.rowIdx[RowKey{Region: region, SibTag: sibTag}]
 	if !ok {

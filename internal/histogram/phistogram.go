@@ -18,9 +18,11 @@
 package histogram
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"xpathest/internal/bitset"
@@ -40,9 +42,8 @@ type PHistogram struct {
 	Tag     string
 	Buckets []PBucket
 
-	lookup    map[string]int         // pid key -> bucket index
-	lookupPtr map[*bitset.Bitset]int // identity-keyed mirror for interned pids
-	order     []*bitset.Bitset
+	bucketOf map[*bitset.Bitset]int // interned pid -> bucket index
+	order    []*bitset.Bitset
 }
 
 // variance computes the paper's intra-bucket frequency variance
@@ -69,21 +70,8 @@ func BuildP(tag string, entries []stats.PidFreq, threshold float64) *PHistogram 
 		//lint:ignore panicpolicy documented precondition on an in-process build parameter, validated at the root API by SummaryOptions; never reachable from untrusted input
 		panic(fmt.Sprintf("histogram: negative variance threshold %v", threshold))
 	}
-	sorted := make([]stats.PidFreq, len(entries))
-	copy(sorted, entries)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		if sorted[i].Freq != sorted[j].Freq {
-			return sorted[i].Freq < sorted[j].Freq
-		}
-		// Tie-break on bit sequence for determinism.
-		return sorted[i].Pid.String() < sorted[j].Pid.String()
-	})
-
-	h := &PHistogram{
-		Tag:       tag,
-		lookup:    make(map[string]int, len(sorted)),
-		lookupPtr: make(map[*bitset.Bitset]int, len(sorted)),
-	}
+	sorted := byFreq(entries)
+	h := &PHistogram{Tag: tag, bucketOf: make(map[*bitset.Bitset]int, len(sorted))}
 	i := 0
 	for i < len(sorted) {
 		var (
@@ -105,8 +93,7 @@ func BuildP(tag string, entries []stats.PidFreq, threshold float64) *PHistogram 
 		}
 		b := PBucket{Pids: pids, AvgFreq: sum / float64(len(pids))}
 		for _, p := range pids {
-			h.lookup[p.Key()] = len(h.Buckets)
-			h.lookupPtr[p] = len(h.Buckets)
+			h.bucketOf[p] = len(h.Buckets)
 		}
 		h.Buckets = append(h.Buckets, b)
 		i = j
@@ -115,6 +102,16 @@ func BuildP(tag string, entries []stats.PidFreq, threshold float64) *PHistogram 
 		h.order = append(h.order, e.Pid)
 	}
 	return h
+}
+
+// byFreq returns a copy of entries sorted by frequency, ties broken by
+// pid bit value, so the order does not depend on the input's.
+func byFreq(entries []stats.PidFreq) []stats.PidFreq {
+	sorted := slices.Clone(entries)
+	slices.SortStableFunc(sorted, func(a, b stats.PidFreq) int {
+		return cmp.Or(cmp.Compare(a.Freq, b.Freq), bitset.Compare(a.Pid, b.Pid))
+	})
+	return sorted
 }
 
 // BuildPEquiCount builds a p-histogram with numBuckets equal-count
@@ -129,19 +126,8 @@ func BuildPEquiCount(tag string, entries []stats.PidFreq, numBuckets int) *PHist
 		//lint:ignore panicpolicy documented precondition on an in-process build parameter, validated at the root API by SummaryOptions; never reachable from untrusted input
 		panic(fmt.Sprintf("histogram: %d buckets", numBuckets))
 	}
-	sorted := make([]stats.PidFreq, len(entries))
-	copy(sorted, entries)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		if sorted[i].Freq != sorted[j].Freq {
-			return sorted[i].Freq < sorted[j].Freq
-		}
-		return sorted[i].Pid.String() < sorted[j].Pid.String()
-	})
-	h := &PHistogram{
-		Tag:       tag,
-		lookup:    make(map[string]int, len(sorted)),
-		lookupPtr: make(map[*bitset.Bitset]int, len(sorted)),
-	}
+	sorted := byFreq(entries)
+	h := &PHistogram{Tag: tag, bucketOf: make(map[*bitset.Bitset]int, len(sorted))}
 	if len(sorted) == 0 {
 		return h
 	}
@@ -159,8 +145,7 @@ func BuildPEquiCount(tag string, entries []stats.PidFreq, numBuckets int) *PHist
 		for _, e := range sorted[i:j] {
 			sum += e.Freq
 			pids = append(pids, e.Pid)
-			h.lookup[e.Pid.Key()] = len(h.Buckets)
-			h.lookupPtr[e.Pid] = len(h.Buckets)
+			h.bucketOf[e.Pid] = len(h.Buckets)
 			h.order = append(h.order, e.Pid)
 		}
 		h.Buckets = append(h.Buckets, PBucket{Pids: pids, AvgFreq: sum / float64(j-i)})
@@ -192,16 +177,10 @@ func BuildPSetEquiCount(ft *stats.FreqTable, numDistinctPids int, ref *PSet) *PS
 // is the concatenation of the bucket pid lists, which is exactly how
 // BuildP lays buckets out.
 func RestoreP(tag string, buckets []PBucket) *PHistogram {
-	h := &PHistogram{
-		Tag:       tag,
-		Buckets:   buckets,
-		lookup:    make(map[string]int),
-		lookupPtr: make(map[*bitset.Bitset]int),
-	}
+	h := &PHistogram{Tag: tag, Buckets: buckets, bucketOf: make(map[*bitset.Bitset]int)}
 	for i, b := range buckets {
 		for _, p := range b.Pids {
-			h.lookup[p.Key()] = i
-			h.lookupPtr[p] = i
+			h.bucketOf[p] = i
 			h.order = append(h.order, p)
 		}
 	}
@@ -232,14 +211,10 @@ func (s *PSet) Histograms() []*PHistogram {
 }
 
 // Freq returns the (approximate) frequency of a pid: the average of
-// its bucket, or 0 when the pid never occurs with this tag.
+// its bucket, or 0 when the pid never occurs with this tag. Buckets
+// hold the labeling's interned instances and pid must be one.
 func (h *PHistogram) Freq(pid *bitset.Bitset) float64 {
-	// Identity fast path for canonical (interned) pid instances; the
-	// key-string map remains as the fallback for duplicates.
-	if i, ok := h.lookupPtr[pid]; ok {
-		return h.Buckets[i].AvgFreq
-	}
-	if i, ok := h.lookup[pid.Key()]; ok {
+	if i, ok := h.bucketOf[pid]; ok {
 		return h.Buckets[i].AvgFreq
 	}
 	return 0
@@ -268,15 +243,15 @@ func (h *PHistogram) NumBuckets() int { return len(h.Buckets) }
 // entries and returns the maximum. Tests use it to verify the
 // construction invariant.
 func CheckPVariance(h *PHistogram, entries []stats.PidFreq) float64 {
-	freqOf := map[string]float64{}
+	freqOf := map[*bitset.Bitset]float64{}
 	for _, e := range entries {
-		freqOf[e.Pid.Key()] += e.Freq
+		freqOf[e.Pid] += e.Freq
 	}
 	worst := 0.0
 	for _, b := range h.Buckets {
 		var sum, sumSq float64
 		for _, p := range b.Pids {
-			f := freqOf[p.Key()]
+			f := freqOf[p]
 			sum += f
 			sumSq += f * f
 		}

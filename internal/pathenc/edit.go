@@ -2,6 +2,7 @@ package pathenc
 
 import (
 	"errors"
+	"maps"
 
 	"xpathest/internal/bitset"
 	"xpathest/internal/xmltree"
@@ -33,14 +34,7 @@ func (l *Labeling) CloneForEdit() *Labeling {
 		doc:      l.doc,
 		pids:     append([]*bitset.Bitset(nil), l.pids...),
 		distinct: append([]*bitset.Bitset(nil), l.distinct...),
-		index:    make(map[string]int, len(l.index)),
-		denseID:  make(map[*bitset.Bitset]int32, len(l.denseID)),
-	}
-	for k, v := range l.index {
-		c.index[k] = v
-	}
-	for k, v := range l.denseID {
-		c.denseID[k] = v
+		index:    maps.Clone(l.index),
 	}
 	return c
 }

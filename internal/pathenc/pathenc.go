@@ -160,16 +160,13 @@ type Labeling struct {
 
 	doc      *xmltree.Document
 	pids     []*bitset.Bitset // indexed by node Ord; interned
-	distinct []*bitset.Bitset // sorted by bit-sequence value
-	index    map[string]int   // bitset key -> index into distinct
+	distinct []*bitset.Bitset // in first-interning order
 
-	// denseID maps each canonical interned instance to its position in
-	// distinct. Because interning makes identical bit sequences share one
-	// instance, pointer identity is a sound key, and hot-path lookups
-	// avoid the Bitset.Key() string allocation entirely. Built alongside
-	// index and read-only once labeling construction finishes, so
-	// concurrent estimator reads need no locking.
-	denseID map[*bitset.Bitset]int32
+	// index is the intern index, the only map keyed by a pid's value:
+	// it is read where pids are made (the labeler, EstimationLabeling,
+	// RecomputeAncestors). Everything downstream holds the interned
+	// instances and keys them by pointer.
+	index map[string]int // bitset key -> index into distinct
 }
 
 // NewTable builds an encoding table directly from path strings in
@@ -197,13 +194,11 @@ func NewTable(paths []string) (*Table, error) {
 // per-element labels are absent (there is no document), but everything
 // the estimator consults — the encoding table, containment tests and
 // anchor segments — works. distinct may be nil when only join logic is
-// needed.
+// needed. Its elements are interned in order, the first of equal ones
+// becoming the canonical instance, so a list that repeats a pid yields
+// fewer than len(distinct) distinct ids.
 func EstimationLabeling(t *Table, distinct []*bitset.Bitset) *Labeling {
-	l := &Labeling{
-		Table:   t,
-		index:   make(map[string]int, len(distinct)),
-		denseID: make(map[*bitset.Bitset]int32, len(distinct)),
-	}
+	l := &Labeling{Table: t, index: make(map[string]int, len(distinct))}
 	for _, p := range distinct {
 		l.intern(p)
 	}
@@ -226,12 +221,7 @@ func Build(doc *xmltree.Document) (*Labeling, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &Labeling{
-		Table:   tbl,
-		doc:     doc,
-		index:   make(map[string]int),
-		denseID: make(map[*bitset.Bitset]int32),
-	}
+	l := &Labeling{Table: tbl, doc: doc, index: make(map[string]int)}
 	if doc.Root != nil {
 		l.pids, err = l.label(doc.Root, "", doc.NumElements())
 		if err != nil {
@@ -411,30 +401,9 @@ func (l *Labeling) intern(pid *bitset.Bitset) *bitset.Bitset {
 	if i, ok := l.index[key]; ok {
 		return l.distinct[i]
 	}
-	if l.denseID == nil {
-		l.denseID = make(map[*bitset.Bitset]int32)
-	}
 	l.index[key] = len(l.distinct)
-	l.denseID[pid] = int32(len(l.distinct))
 	l.distinct = append(l.distinct, pid)
 	return pid
-}
-
-// DenseID returns the dense id of an interned path id — its position in
-// Distinct(), a value in [0, NumDistinct()) — and whether the pid is
-// known. The fast path is a pointer lookup on the canonical instance
-// (every pid flowing out of the statistics tables and histograms is
-// one); an equal-bits-but-distinct instance falls back to a Key()
-// lookup. Dense ids let hot-path caches index slices and bitmaps
-// instead of hashing bit-sequence strings.
-func (l *Labeling) DenseID(pid *bitset.Bitset) (int32, bool) {
-	if id, ok := l.denseID[pid]; ok {
-		return id, true
-	}
-	if i, ok := l.index[pid.Key()]; ok {
-		return int32(i), true
-	}
-	return -1, false
 }
 
 // PidOf returns the interned path id of a node.

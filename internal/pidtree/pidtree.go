@@ -31,6 +31,7 @@ package pidtree
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"xpathest/internal/bitset"
@@ -82,7 +83,7 @@ func Build(pids []*bitset.Bitset) (*Tree, error) {
 			return nil, fmt.Errorf("pidtree: inconsistent path id widths (%d vs %d): %w", p.Width(), width, guard.ErrInvalidArgument)
 		}
 	}
-	sort.Slice(sorted, func(i, j int) bool { return lessBits(sorted[i], sorted[j]) })
+	slices.SortFunc(sorted, bitset.Compare)
 
 	t := &Tree{width: width, ids: sorted}
 	t.root = t.build(0, len(sorted), 0)
@@ -103,18 +104,6 @@ func MustBuild(pids []*bitset.Bitset) *Tree {
 		panic(err)
 	}
 	return t
-}
-
-// lessBits orders bit sequences as binary numbers (leftmost bit most
-// significant), the order of Figure 1(c).
-func lessBits(a, b *bitset.Bitset) bool {
-	for pos := 1; pos <= a.Width(); pos++ {
-		ab, bb := a.Test(pos), b.Test(pos)
-		if ab != bb {
-			return bb
-		}
-	}
-	return false
 }
 
 // build constructs the trie for ids[lo:hi] (sorted), all sharing the
@@ -333,17 +322,11 @@ func onesFrom(b *bitset.Bitset, pos int) bool {
 // sorted id table. It is the fast path used internally; ID exists to
 // exercise and validate the compressed navigation structure.
 func (t *Tree) IDDirect(b *bitset.Bitset) (int, bool) {
-	lo, hi := 0, len(t.ids)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if lessBits(t.ids[mid], b) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	if b.Width() != t.width {
+		return 0, false
 	}
-	if lo < len(t.ids) && t.ids[lo].Equal(b) {
-		return lo + 1, true
+	if i, ok := slices.BinarySearchFunc(t.ids, b, bitset.Compare); ok {
+		return i + 1, true
 	}
 	return 0, false
 }

@@ -73,8 +73,13 @@ func TestIDAbsent(t *testing.T) {
 			t.Errorf("IDDirect(%s) = %d, want not found", bits, id)
 		}
 	}
-	if _, ok := tr.ID(bitset.MustFromString("00010")); ok {
-		t.Error("ID with wrong width should not be found")
+	for _, bits := range []string{"00010", "001"} {
+		if _, ok := tr.ID(bitset.MustFromString(bits)); ok {
+			t.Errorf("ID(%s) with wrong width should not be found", bits)
+		}
+		if _, ok := tr.IDDirect(bitset.MustFromString(bits)); ok {
+			t.Errorf("IDDirect(%s) with wrong width should not be found", bits)
+		}
 	}
 }
 
@@ -212,7 +217,7 @@ func TestQuickOrdering(t *testing.T) {
 		prev, _ := tr.Bits(1)
 		for id := 2; id <= tr.NumIDs(); id++ {
 			cur, ok := tr.Bits(id)
-			if !ok || !lessBits(prev, cur) {
+			if !ok || prev.String() >= cur.String() {
 				return false
 			}
 			prev = cur

@@ -64,13 +64,10 @@ func (ts *OrderTables) AddOrder(tag string, region Region, pid *bitset.Bitset, s
 		tbl = newOrderTable(tag)
 		ts.byTag[tag] = tbl
 	}
-	m := tbl.cellsByPid[region][pid]
+	m := tbl.cells[region][pid]
 	if m == nil {
 		m = make(map[string]float64)
-		key := pid.Key()
-		tbl.cells[region][key] = m
-		tbl.cellsByPid[region][pid] = m
-		tbl.pids[key] = pid
+		tbl.cells[region][pid] = m
 	}
 	if c := m[sibTag] + d; c != 0 {
 		m[sibTag] = c
@@ -80,14 +77,9 @@ func (ts *OrderTables) AddOrder(tag string, region Region, pid *bitset.Bitset, s
 	if len(m) > 0 {
 		return
 	}
-	key := pid.Key()
-	delete(tbl.cells[region], key)
-	delete(tbl.cellsByPid[region], pid)
-	if tbl.cells[Before][key] == nil && tbl.cells[After][key] == nil {
-		delete(tbl.pids, key)
-		if len(tbl.pids) == 0 {
-			delete(ts.byTag, tag)
-		}
+	delete(tbl.cells[region], pid)
+	if len(tbl.cells[Before]) == 0 && len(tbl.cells[After]) == 0 {
+		delete(ts.byTag, tag)
 	}
 }
 

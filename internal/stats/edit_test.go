@@ -97,11 +97,12 @@ func TestApplyGroupRoundtrip(t *testing.T) {
 		t.Fatalf("NumCells after re-add = %d, want %d", n, before)
 	}
 	// Spot-check against a fresh collection.
-	_, _, fresh := collectEdit(t, `<r><a></a><b></b><a></a></r>`)
+	_, freshLab, fresh := collectEdit(t, `<r><a></a><b></b><a></a></r>`)
 	aPid := members[0].Pid
+	freshPid := interned(t, freshLab)(aPid.String())
 	for _, reg := range []Region{Before, After} {
 		got := tb.Order.Table("a").Get(reg, aPid, "b")
-		want := fresh.Order.Table("a").Get(reg, aPid, "b")
+		want := fresh.Order.Table("a").Get(reg, freshPid, "b")
 		if got != want {
 			t.Errorf("g(a,%s)[pid,b] = %v, want %v", reg, got, want)
 		}

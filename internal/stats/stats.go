@@ -22,7 +22,10 @@
 package stats
 
 import (
+	"cmp"
+	"slices"
 	"sort"
+	"strings"
 
 	"xpathest/internal/bitset"
 	"xpathest/internal/pathenc"
@@ -123,42 +126,26 @@ func (r Region) String() string {
 // have at least one following sibling tagged Y; in region After, at
 // least one preceding sibling tagged Y. An X element occurring both
 // before and after Y elements is counted in both regions (Section 3).
+//
+// Cells are keyed by the interned pid instance: labeling makes equal
+// bit sequences share one instance, so every pid collected here, and
+// every pid the estimator probes with, is its canonical instance.
 type OrderTable struct {
 	Tag   string
-	cells [2]map[string]map[string]float64 // region -> pid key -> sibling tag -> count
-	pids  map[string]*bitset.Bitset        // pid key -> pid
-
-	// cellsByPid mirrors cells keyed by the interned pid instance
-	// (sharing the same inner maps), so the per-probe Get on the
-	// estimator's hot path costs a pointer hash instead of a
-	// Bitset.Key() string allocation. Path ids are interned during
-	// labeling, so every pid collected here — and every pid the
-	// estimator probes with — is its canonical instance.
-	cellsByPid [2]map[*bitset.Bitset]map[string]float64
+	cells [2]map[*bitset.Bitset]map[string]float64 // region -> pid -> sibling tag -> count
 }
 
 func newOrderTable(tag string) *OrderTable {
 	return &OrderTable{
-		Tag:        tag,
-		cells:      [2]map[string]map[string]float64{make(map[string]map[string]float64), make(map[string]map[string]float64)},
-		pids:       make(map[string]*bitset.Bitset),
-		cellsByPid: [2]map[*bitset.Bitset]map[string]float64{make(map[*bitset.Bitset]map[string]float64), make(map[*bitset.Bitset]map[string]float64)},
+		Tag:   tag,
+		cells: [2]map[*bitset.Bitset]map[string]float64{make(map[*bitset.Bitset]map[string]float64), make(map[*bitset.Bitset]map[string]float64)},
 	}
 }
 
-// Get returns g(pid, sibTag) in the given region; 0 for empty cells.
-// The identity-keyed index answers probes with canonical (interned)
-// pid instances without allocating; an equal-bits duplicate instance
-// falls back to the key-string map.
+// Get returns g(pid, sibTag) in the given region; 0 for empty cells
+// and for a pid that is not the labeling's canonical instance.
 func (o *OrderTable) Get(region Region, pid *bitset.Bitset, sibTag string) float64 {
-	if m := o.cellsByPid[region][pid]; m != nil {
-		return m[sibTag]
-	}
-	m := o.cells[region][pid.Key()]
-	if m == nil {
-		return 0
-	}
-	return m[sibTag]
+	return o.cells[region][pid][sibTag]
 }
 
 // Cell is one non-empty cell of a path-order table, in export form.
@@ -174,21 +161,14 @@ type Cell struct {
 func (o *OrderTable) Cells() []Cell {
 	var out []Cell
 	for _, region := range []Region{Before, After} {
-		for key, m := range o.cells[region] {
+		for pid, m := range o.cells[region] {
 			for tag, c := range m {
-				out = append(out, Cell{Region: region, Pid: o.pids[key], SibTag: tag, Count: c})
+				out = append(out, Cell{Region: region, Pid: pid, SibTag: tag, Count: c})
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Region != b.Region {
-			return a.Region < b.Region
-		}
-		if s1, s2 := a.Pid.String(), b.Pid.String(); s1 != s2 {
-			return s1 < s2
-		}
-		return a.SibTag < b.SibTag
+	slices.SortFunc(out, func(a, b Cell) int {
+		return cmp.Or(cmp.Compare(a.Region, b.Region), bitset.Compare(a.Pid, b.Pid), strings.Compare(a.SibTag, b.SibTag))
 	})
 	return out
 }
@@ -207,11 +187,16 @@ func (o *OrderTable) NumCells() int {
 // Pids returns the distinct pids appearing in the table, sorted by bit
 // sequence.
 func (o *OrderTable) Pids() []*bitset.Bitset {
-	out := make([]*bitset.Bitset, 0, len(o.pids))
-	for _, p := range o.pids {
+	out := make([]*bitset.Bitset, 0, len(o.cells[Before])+len(o.cells[After]))
+	for p := range o.cells[Before] {
 		out = append(out, p)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	for p := range o.cells[After] {
+		if o.cells[Before][p] == nil {
+			out = append(out, p)
+		}
+	}
+	slices.SortFunc(out, bitset.Compare)
 	return out
 }
 

@@ -17,6 +17,24 @@ func collectFigure1(t testing.TB) *Tables {
 	return Collect(paperfig.Doc(), nil)
 }
 
+// interned returns a lookup from a pid's bit string to l's interned
+// instance, the instance the tables are keyed by. Looking up a bit
+// string l does not hold fails the test.
+func interned(t testing.TB, l *pathenc.Labeling) func(bits string) *bitset.Bitset {
+	byBits := make(map[string]*bitset.Bitset, l.NumDistinct())
+	for _, p := range l.Distinct() {
+		byBits[p.String()] = p
+	}
+	return func(bits string) *bitset.Bitset {
+		t.Helper()
+		p := byBits[bits]
+		if p == nil {
+			t.Fatalf("no pid %s in the labeling", bits)
+		}
+		return p
+	}
+}
+
 // TestFreqTableFigure2a pins the PathId-Frequency table of Figure 2(a).
 func TestFreqTableFigure2a(t *testing.T) {
 	tb := collectFigure1(t)
@@ -63,8 +81,9 @@ func TestOrderTableFigure2b(t *testing.T) {
 	if b == nil {
 		t.Fatal("no order table for B")
 	}
-	p5 := bitset.MustFromString("1000")
-	p8 := bitset.MustFromString("1100")
+	pid := interned(t, tb.Labeling)
+	p5 := pid("1000")
+	p8 := pid("1100")
 
 	if got := b.Get(Before, p5, "C"); got != 1 {
 		t.Errorf("g(p5, C) in +element = %v, want 1", got)
@@ -91,10 +110,11 @@ func TestOrderTableFigure2b(t *testing.T) {
 
 func TestOrderTableOtherTags(t *testing.T) {
 	tb := collectFigure1(t)
-	p2 := bitset.MustFromString("0010")
-	p1 := bitset.MustFromString("0001")
-	p5 := bitset.MustFromString("1000")
-	p4 := bitset.MustFromString("0100")
+	pid := interned(t, tb.Labeling)
+	p2 := pid("0010")
+	p1 := pid("0001")
+	p5 := pid("1000")
+	p4 := pid("0100")
 
 	// E before F under C(p3) of A2.
 	e := tb.Order.Table("E")
@@ -120,7 +140,7 @@ func TestOrderTableOtherTags(t *testing.T) {
 	}
 	// C sees B both before and after (A2: B,C,B) and before (A3: C,B).
 	c := tb.Order.Table("C")
-	p3 := bitset.MustFromString("0011")
+	p3 := pid("0011")
 	if got := c.Get(After, p3, "B"); got != 1 {
 		t.Errorf("C: g(p3, B) after = %v, want 1", got)
 	}
@@ -140,9 +160,10 @@ func TestOrderTableRootChildren(t *testing.T) {
 	if a == nil {
 		t.Fatal("no order table for A")
 	}
-	p8 := bitset.MustFromString("1100")
-	p7 := bitset.MustFromString("1011")
-	p6 := bitset.MustFromString("1010")
+	pid := interned(t, tb.Labeling)
+	p8 := pid("1100")
+	p7 := pid("1011")
+	p6 := pid("1010")
 	if got := a.Get(Before, p8, "A"); got != 1 {
 		t.Errorf("A: g(p8, A) before = %v", got)
 	}

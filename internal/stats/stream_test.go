@@ -73,13 +73,14 @@ func assertTablesEqual(t *testing.T, want, got *Tables) {
 	if got.Order.NumCells() != want.Order.NumCells() {
 		t.Fatalf("order cells: %d vs %d", got.Order.NumCells(), want.Order.NumCells())
 	}
+	gotPid := interned(t, got.Labeling)
 	for _, tag := range want.Order.Tags() {
 		wTab, gTab := want.Order.Table(tag), got.Order.Table(tag)
 		if gTab == nil {
 			t.Fatalf("missing order table for %s", tag)
 		}
 		for _, cell := range wTab.Cells() {
-			if g := gTab.Get(cell.Region, cell.Pid, cell.SibTag); g != cell.Count {
+			if g := gTab.Get(cell.Region, gotPid(cell.Pid.String()), cell.SibTag); g != cell.Count {
 				t.Fatalf("%s g(%s,%s) %v: %v vs %v", tag, cell.Pid, cell.SibTag, cell.Region, g, cell.Count)
 			}
 		}
@@ -126,6 +127,11 @@ func TestStreamErrors(t *testing.T) {
 		"<a></a><b></b>",
 		"<a/><b/>",
 		"not xml at all <",
+		"</a>",
+		"<a></a></b>",
+		"<a/></a>",
+		"<a>",
+		"<a><b>",
 	} {
 		if _, err := CollectStream(bad(c)); !errors.Is(err, guard.ErrMalformedDocument) {
 			t.Errorf("CollectStream(%q) = %v, want ErrMalformedDocument", c, err)

@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"xpathest/internal/bitset"
 	"xpathest/internal/histogram"
+	"xpathest/internal/pathenc"
 	"xpathest/internal/stats"
 	"xpathest/internal/xmltree"
 )
@@ -29,6 +31,29 @@ func FuzzDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
+	// A well-formed stream whose dictionary lists its first pid twice,
+	// a copy ahead of the instance the histograms reference. The
+	// document gains a third path, so the copy stays under the 2^3-1
+	// pid bound and the stream decodes; loading must reject it when it
+	// interns the dictionary (below, and in the root package).
+	db := xmltree.NewBuilder()
+	db.Open("r")
+	db.Open("a").Leaf("b", "").Leaf("c", "").Close()
+	db.Leaf("d", "")
+	db.Close()
+	dtbs := stats.Collect(db.Document(), nil)
+	dn := dtbs.Labeling.NumDistinct()
+	dps := histogram.BuildPSet(dtbs.Freq, dn, 0)
+	dos := histogram.BuildOSet(dtbs.Order, dps, dn, 0)
+	distinct := dtbs.Labeling.Distinct()
+	var dup bytes.Buffer
+	if err := Encode(&dup, dtbs.Labeling.Table, append([]*bitset.Bitset{distinct[0].Clone()}, distinct...), dps, dos); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := Decode(bytes.NewReader(dup.Bytes())); err != nil {
+		f.Fatalf("repeated-pid seed does not decode: %v", err)
+	}
+	f.Add(dup.Bytes())
 	f.Add([]byte("XPSUM"))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
@@ -99,6 +124,33 @@ func FuzzDecode(f *testing.F) {
 		}
 		if payload.Table.NumPaths() == 0 {
 			t.Fatal("decoded table with no paths")
+		}
+		// Loading interns the dictionary and rejects one that lists a
+		// pid twice. Any other must leave every histogram pid an
+		// interned instance, the only kind pointer-keyed lookups find.
+		lab := pathenc.EstimationLabeling(payload.Table, payload.Distinct)
+		if lab.NumDistinct() < len(payload.Distinct) {
+			return
+		}
+		interned := make(map[*bitset.Bitset]bool, lab.NumDistinct())
+		for _, p := range lab.Distinct() {
+			interned[p] = true
+		}
+		for _, h := range payload.P.Histograms() {
+			for _, b := range h.Buckets {
+				for _, p := range b.Pids {
+					if !interned[p] {
+						t.Fatalf("p-histogram %s holds pid %s that is not interned", h.Tag, p)
+					}
+				}
+			}
+		}
+		for _, h := range payload.O.Histograms() {
+			for _, p := range h.Cols {
+				if !interned[p] {
+					t.Fatalf("o-histogram %s holds pid %s that is not interned", h.Tag, p)
+				}
+			}
 		}
 	})
 }

@@ -76,8 +76,9 @@ type Payload struct {
 }
 
 // Encode writes the summary stream. The pid dictionary is the
-// labeling's distinct-pid list; every histogram pid must be present in
-// it (guaranteed for histograms built from the same labeling).
+// labeling's distinct-pid list; every histogram pid must be one of its
+// instances (guaranteed for histograms built from the same labeling,
+// which hold its interned pids).
 func Encode(w io.Writer, table *pathenc.Table, distinct []*bitset.Bitset, ps *histogram.PSet, os *histogram.OSet) error {
 	crc := crc32.NewIEEE()
 	bw := bufio.NewWriter(io.MultiWriter(w, crc))
@@ -91,19 +92,19 @@ func Encode(w io.Writer, table *pathenc.Table, distinct []*bitset.Bitset, ps *hi
 		e.str(table.Path(i))
 	}
 
-	pidIdx := make(map[string]uint32, len(distinct))
+	pidIdx := make(map[*bitset.Bitset]uint32, len(distinct))
 	e.u32(uint32(len(distinct)))
 	for i, p := range distinct {
 		if p.Width() != table.NumPaths() {
 			return fmt.Errorf("summaryio: pid width %d does not match %d paths: %w", p.Width(), table.NumPaths(), guard.ErrInvalidArgument)
 		}
-		pidIdx[p.Key()] = uint32(i)
+		pidIdx[p] = uint32(i)
 		e.raw(p.Bytes())
 	}
 	pid := func(p *bitset.Bitset) error {
-		i, ok := pidIdx[p.Key()]
+		i, ok := pidIdx[p]
 		if !ok {
-			return fmt.Errorf("summaryio: histogram pid %s not in the distinct dictionary: %w", p, guard.ErrInvalidArgument)
+			return fmt.Errorf("summaryio: histogram pid %s is not an instance of the distinct dictionary: %w", p, guard.ErrInvalidArgument)
 		}
 		e.u32(i)
 		return nil

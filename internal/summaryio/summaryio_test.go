@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"xpathest/internal/bitset"
 	"xpathest/internal/core"
 	"xpathest/internal/histogram"
 	"xpathest/internal/paperfig"
@@ -198,14 +199,17 @@ func TestQuickRoundTrip(t *testing.T) {
 				}
 			}
 		}
-		// Every order lookup agrees.
+		// Every order lookup agrees, each side probed with its own
+		// dictionary's instance of the pid.
+		back := make(map[*bitset.Bitset]*bitset.Bitset, n)
+		for i, p := range tbs.Labeling.Distinct() {
+			back[p] = payload.Distinct[i]
+		}
 		for _, tag := range os.Tags() {
-			h := os.Histograms()
-			_ = h
 			table := tbs.Order.Table(tag)
 			for _, cell := range table.Cells() {
 				if os.Get(tag, cell.Region, cell.Pid, cell.SibTag) !=
-					payload.O.Get(tag, cell.Region, cell.Pid, cell.SibTag) {
+					payload.O.Get(tag, cell.Region, back[cell.Pid], cell.SibTag) {
 					return false
 				}
 			}

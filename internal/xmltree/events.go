@@ -39,7 +39,10 @@ const ctxCheckEvery = 1024
 // (guard.ErrCanceled). Malformed XML, a second root element, unbalanced
 // tags and input without any element fail with
 // guard.ErrMalformedDocument; h sees balanced events under one root up
-// to the failure. It returns the number of bytes read from r.
+// to the failure. The strict encoding/xml decoder enforces balance: it
+// reports an end tag without its start, and input that ends inside an
+// element, as a syntax error. It returns the number of bytes read from
+// r.
 func Scan(ctx context.Context, r io.Reader, lim guard.Limits, h Handler) (int64, error) {
 	cr := &countingReader{r: r}
 	dec := xml.NewDecoder(cr)
@@ -84,9 +87,6 @@ func Scan(ctx context.Context, r io.Reader, lim guard.Limits, h Handler) (int64,
 			}
 			h.Open(t.Name.Local)
 		case xml.EndElement:
-			if depth == 0 {
-				return cr.n, fmt.Errorf("xmltree: unbalanced end element %q: %w", t.Name.Local, guard.ErrMalformedDocument)
-			}
 			depth--
 			if err := h.Close(); err != nil {
 				return cr.n, err
@@ -99,9 +99,6 @@ func Scan(ctx context.Context, r io.Reader, lim guard.Limits, h Handler) (int64,
 	}
 	if elements == 0 {
 		return cr.n, fmt.Errorf("xmltree: document has no element: %w", guard.ErrMalformedDocument)
-	}
-	if depth != 0 {
-		return cr.n, fmt.Errorf("xmltree: %d unclosed elements: %w", depth, guard.ErrMalformedDocument)
 	}
 	return cr.n, nil
 }

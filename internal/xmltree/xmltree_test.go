@@ -115,6 +115,12 @@ func TestParseErrors(t *testing.T) {
 		{"two roots", "<a></a><b></b>"},
 		{"two empty roots", "<a/><b/>"},
 		{"garbage", "not xml at all <"},
+		// Balance: Scan relies on the strict decoder to reject these.
+		{"end without start", "</a>"},
+		{"end after root", "<a></a></b>"},
+		{"end after empty root", "<a/></a>"},
+		{"unclosed root", "<a>"},
+		{"unclosed child", "<a><b>"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
