@@ -6,9 +6,7 @@ import (
 	"io"
 
 	"xpathest/internal/delta"
-	"xpathest/internal/eval"
 	"xpathest/internal/guard"
-	"xpathest/internal/pidtree"
 	"xpathest/internal/xmltree"
 )
 
@@ -159,26 +157,20 @@ func (s *Summary) Apply(sc EditScript) (*ApplyResult, error) {
 	}
 
 	// The tree changed (fully or as an applied prefix): resynchronize
-	// every derived structure and advance the epoch.
+	// the labeling and tables, drop the evaluator and executor indexed
+	// over the old tree (the next exact call rebuilds them), and
+	// advance the epoch.
 	d.lab = st.Lab
 	d.tables = st.Tables
-	d.ev = eval.New(d.doc)
 	d.execMu.Lock()
-	d.exec = nil
+	d.ev, d.exec = nil, nil
 	d.execMu.Unlock()
 	d.editEpoch++
-	tree, err := pidtree.Build(d.lab.Distinct())
-	if err != nil {
-		// The distinct-pid list came from our own maintenance: a list
-		// the tree rejects is a maintenance bug, not bad input.
-		return nil, fmt.Errorf("xpathest: rebuilding pid index after edit: %v: %w", err, guard.ErrInternal)
-	}
-	d.tree = tree
 	if applyErr != nil {
 		return nil, applyErr
 	}
 
-	ns := newSummary(s.opts, st.Lab, tree, st.Tables, st.PS, st.OS)
+	ns := newSummary(s.opts, st.Lab, st.Tables, st.PS, st.OS)
 	ns.src, ns.epoch = d, d.editEpoch
 	inv, err := editScriptFromDelta(res.Inverse)
 	if err != nil {

@@ -129,7 +129,14 @@ func TestApplyDocumentQueriesAfterEdit(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := doc.BuildSummary(SummaryOptions{})
-	// Force the lazy executor into existence so Apply must invalidate it.
+	// Force the lazy evaluator and executor into existence so Apply
+	// must invalidate both.
+	if _, err := doc.ExactCount("//c"); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := doc.Matches("//c"); err != nil || len(m) != 4 {
+		t.Fatalf("pre-edit //c: %d matches, %v; want 4", len(m), err)
+	}
 	if _, err := doc.IndexedCount("//c"); err != nil {
 		t.Fatal(err)
 	}
@@ -146,9 +153,50 @@ func TestApplyDocumentQueriesAfterEdit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exact != 5 || indexed != 5 {
-		t.Fatalf("post-edit //c: exact %d indexed %d, want 5/5", exact, indexed)
+	m, err := doc.Matches("//c")
+	if err != nil {
+		t.Fatal(err)
 	}
+	if exact != 5 || indexed != 5 || len(m) != 5 {
+		t.Fatalf("post-edit //c: exact %d indexed %d matches %d, want 5/5/5", exact, indexed, len(m))
+	}
+}
+
+// TestExactStructuresAreLazy checks that loading, summarizing, saving
+// and editing build no exact evaluator or executor: the first exact
+// call builds the evaluator, and Apply drops it.
+func TestExactStructuresAreLazy(t *testing.T) {
+	doc, err := ParseDocumentString(applyTestDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := func(when string, wantEval bool) {
+		t.Helper()
+		doc.execMu.Lock()
+		ev, ex := doc.ev != nil, doc.exec != nil
+		doc.execMu.Unlock()
+		if ev != wantEval || ex {
+			t.Fatalf("%s: evaluator built %v, executor built %v; want %v, false", when, ev, ex, wantEval)
+		}
+	}
+	built("after parse", false)
+	sum := doc.BuildSummary(SummaryOptions{})
+	built("after build", false)
+	saveBytes(t, sum)
+	built("after save", false)
+	res, err := sum.Apply(EditScript{Ops: []EditOp{{Insert: true, Loc: []int{0}, Index: 2, XML: "<c></c>"}}})
+	if err != nil {
+		t.Fatalf("apply: %v", err)
+	}
+	built("after apply", false)
+	if _, err := doc.ExactCount("//c"); err != nil {
+		t.Fatal(err)
+	}
+	built("after ExactCount", true)
+	if _, err := res.Summary.Apply(EditScript{Ops: []EditOp{{Loc: []int{0, 2}}}}); err != nil {
+		t.Fatalf("apply: %v", err)
+	}
+	built("after a second apply", false)
 }
 
 func TestApplyRejectsDocumentlessSummary(t *testing.T) {

@@ -2,14 +2,12 @@ package xpathest
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"os"
 
 	"xpathest/internal/guard"
 	"xpathest/internal/histogram"
 	"xpathest/internal/pathenc"
-	"xpathest/internal/pidtree"
 	"xpathest/internal/stats"
 	"xpathest/internal/summaryio"
 	"xpathest/internal/xmltree"
@@ -102,7 +100,10 @@ func (d *Document) ExactCountContext(ctx context.Context, query string) (int, er
 	if err := guard.CheckContext(ctx); err != nil {
 		return 0, err
 	}
-	return d.ev.SelectivityContext(ctx, p)
+	d.execMu.Lock()
+	ev := d.evaluator()
+	d.execMu.Unlock()
+	return ev.SelectivityContext(ctx, p)
 }
 
 // EstimateContext is Estimate with a cancellation check and panic
@@ -140,11 +141,7 @@ func SummarizeStreamContext(ctx context.Context, opener func() (io.ReadCloser, e
 	if err != nil {
 		return nil, err
 	}
-	tree, err := pidtree.Build(tables.Labeling.Distinct())
-	if err != nil {
-		return nil, err
-	}
-	return summarize(ctx, opts, tables.Labeling, tree, tables)
+	return summarize(ctx, opts, tables.Labeling, tables)
 }
 
 // ReadSummaryContext is ReadSummary under resource limits and
@@ -193,11 +190,5 @@ func summaryFromDecoded(ctx context.Context, lab *pathenc.Labeling, ps *histogra
 	if err := guard.CheckContext(ctx); err != nil {
 		return nil, err
 	}
-	tree, err := pidtree.Build(lab.Distinct())
-	if err != nil {
-		// The distinct-pid list came from the decoded stream: a list the
-		// tree rejects means the stream was corrupt, not an internal bug.
-		return nil, fmt.Errorf("xpathest: %v: %w", err, guard.ErrCorruptSummary)
-	}
-	return newSummary(SummaryOptions{PVariance: ps.Threshold, OVariance: os.Threshold}, lab, tree, nil, ps, os), nil
+	return newSummary(SummaryOptions{PVariance: ps.Threshold, OVariance: os.Threshold}, lab, nil, ps, os), nil
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"xpathest/internal/bitset"
+	"xpathest/internal/histogram"
 	"xpathest/internal/summaryio"
 )
 
@@ -173,11 +174,30 @@ func repeatedPidStream(t testing.TB) []byte {
 	return buf.Bytes()
 }
 
-// TestReadSummaryCorrupt is the table of corrupt streams: ReadSummary
-// and ReadSummaryFileContext return an error wrapping
-// ErrCorruptSummary — not a panic and not a silent zero-value summary
-// — for truncated streams, flipped checksum bytes, version-mismatch
-// headers, and a pid dictionary that lists one pid twice.
+// noPidStream is a summary stream with a valid checksum whose pid
+// dictionary is empty: applyTestDoc's encoding table with no pids and
+// no histograms. Encode never writes one, and the decoder refuses it;
+// that refusal is why Sizes may build the path-id tree of a loaded
+// summary with pidtree.MustBuild.
+func noPidStream(t testing.TB) []byte {
+	t.Helper()
+	d, err := ParseDocumentString(applyTestDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := summaryio.Encode(&buf, d.lab.Table, nil, &histogram.PSet{}, &histogram.OSet{}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestReadSummaryCorrupt is the table of corrupt streams: ReadSummary,
+// ReadSummaryContext and ReadSummaryFileContext return an error
+// wrapping ErrCorruptSummary — not a panic and not a silent zero-value
+// summary — for truncated streams, flipped checksum bytes,
+// version-mismatch headers, a pid dictionary that lists one pid twice,
+// and one that lists no pid.
 func TestReadSummaryCorrupt(t *testing.T) {
 	good := savedSummary(t)
 
@@ -198,6 +218,7 @@ func TestReadSummaryCorrupt(t *testing.T) {
 		{"flipped checksum byte", flipChecksum},
 		{"version mismatch", badVersion},
 		{"pid listed twice", repeatedPidStream(t)},
+		{"no pids", noPidStream(t)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -207,6 +228,13 @@ func TestReadSummaryCorrupt(t *testing.T) {
 			}
 			if !errors.Is(err, ErrCorruptSummary) {
 				t.Fatalf("error %v does not wrap ErrCorruptSummary", err)
+			}
+			s, err = ReadSummaryContext(context.Background(), bytes.NewReader(c.data), DefaultLimits())
+			if err == nil {
+				t.Fatalf("corrupt stream accepted under limits: %+v", s)
+			}
+			if !errors.Is(err, ErrCorruptSummary) {
+				t.Fatalf("limited error %v does not wrap ErrCorruptSummary", err)
 			}
 			s, err = ReadSummaryFileContext(context.Background(), c.data, DefaultLimits())
 			if err == nil {

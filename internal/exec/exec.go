@@ -25,21 +25,11 @@ type Executor struct {
 	est *core.Estimator
 }
 
-// New builds an executor. tables must be the exact statistics of doc
-// (a histogram source would make the pre-filter unsound); pass nil to
-// collect them.
-func New(doc *xmltree.Document, lab *pathenc.Labeling, tables *stats.Tables) *Executor {
-	if lab == nil {
-		lab = pathenc.MustBuild(doc)
-	}
-	if tables == nil {
-		tables = stats.Collect(doc, lab)
-	}
-	return &Executor{
-		lab: lab,
-		ev:  eval.New(doc),
-		est: core.New(lab, core.TableSource{Tables: tables}),
-	}
+// New builds an executor over an evaluator of a document, its labeling
+// and its exact statistics (a histogram source would make the
+// pre-filter unsound).
+func New(ev *eval.Evaluator, lab *pathenc.Labeling, tables *stats.Tables) *Executor {
+	return &Executor{lab: lab, ev: ev, est: core.New(lab, core.TableSource{Tables: tables})}
 }
 
 // filterFor derives the candidate filter from the path join, or nil

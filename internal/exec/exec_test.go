@@ -8,14 +8,23 @@ import (
 	"xpathest/internal/datagen"
 	"xpathest/internal/eval"
 	"xpathest/internal/paperfig"
+	"xpathest/internal/pathenc"
+	"xpathest/internal/stats"
 	"xpathest/internal/xmltree"
 	"xpathest/internal/xpath"
 )
 
+// build returns an executor over doc and the plain evaluator it
+// filters.
+func build(doc *xmltree.Document) (*Executor, *eval.Evaluator) {
+	lab := pathenc.MustBuild(doc)
+	ev := eval.New(doc)
+	return New(ev, lab, stats.Collect(doc, lab)), ev
+}
+
 func TestPaperDocEquivalence(t *testing.T) {
 	doc := paperfig.Doc()
-	x := New(doc, nil, nil)
-	plain := eval.New(doc)
+	x, plain := build(doc)
 	for _, q := range []string{
 		"//A//C", "//A[/C/F]/B/D", "//C[/E!]/F", "/Root/A/B/D",
 		"A[/C[/F]/folls::B!/D]", "A![/C[/F]/folls::B/D]",
@@ -39,8 +48,7 @@ func TestPaperDocEquivalence(t *testing.T) {
 
 func TestMatchesIdentical(t *testing.T) {
 	doc := paperfig.Doc()
-	x := New(doc, nil, nil)
-	plain := eval.New(doc)
+	x, plain := build(doc)
 	p := xpath.MustParse("//B/D")
 	a, err := x.Matches(p)
 	if err != nil {
@@ -118,8 +126,7 @@ func TestQuickEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		doc := randomDoc(rng, 2+rng.Intn(120))
-		x := New(doc, nil, nil)
-		plain := eval.New(doc)
+		x, plain := build(doc)
 		for k := 0; k < 5; k++ {
 			q := randomQuery(rng)
 			want, errA := plain.Selectivity(q)
@@ -158,7 +165,7 @@ func BenchmarkAcceleratedVsPlain(b *testing.B) {
 		}
 	})
 	b.Run("accelerated", func(b *testing.B) {
-		x := New(doc, nil, nil)
+		x, _ := build(doc)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := x.Count(q); err != nil {

@@ -16,12 +16,15 @@
 // Path ids are numbered 1..n in ascending bit-sequence order, which is
 // exactly the p1..p9 numbering of Figure 1(c).
 //
-// Panic policy: the distinct-pid list can originate from a
-// deserialized summary — untrusted input — so Build validates it and
-// returns an error for an empty list or inconsistent widths. MustBuild
-// panics on those errors and is reserved for call sites whose input is
-// constructed in-process (tests, generated datasets), where a bad list
-// is a programmer error.
+// Panic policy: Build validates an arbitrary list and returns an error
+// for an empty list or inconsistent widths. MustBuild panics on those
+// errors and is for lists that cannot have them. The distinct list of
+// a pathenc.Labeling is one: labeling a document yields at least one
+// pid (every document has a root element) and every pid is as wide as
+// the encoding table, and the summaryio decoder refuses a dictionary
+// of fewer than one pid and reads each pid at the table's width. The
+// summary's Sizes builds the tree that way, on each call, from its
+// labeling; nothing on the estimation path reads the tree.
 //
 // The tree is compressed losslessly: a left (right) subtree consisting
 // only of left (right) edges — a pure all-0 (all-1) suffix chain — is
@@ -95,9 +98,9 @@ func Build(pids []*bitset.Bitset) (*Tree, error) {
 	return t, nil
 }
 
-// MustBuild is Build that panics on error, for in-process-constructed
-// pid lists (tests, generated datasets) where a bad list is a
-// programmer error.
+// MustBuild is Build that panics on error, for lists that cannot be
+// empty or mixed-width, such as a pathenc.Labeling's Distinct() (see
+// the package comment).
 func MustBuild(pids []*bitset.Bitset) *Tree {
 	t, err := Build(pids)
 	if err != nil {

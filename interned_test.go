@@ -85,7 +85,7 @@ func TestPidsAreInterned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fromStream, err := summarize(nil, opts, tables.Labeling, nil, tables)
+		fromStream, err := summarize(nil, opts, tables.Labeling, tables)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -53,10 +53,12 @@ type Document struct {
 	doc    *xmltree.Document
 	lab    *pathenc.Labeling
 	tables *stats.Tables
-	tree   *pidtree.Tree
-	ev     *eval.Evaluator
 
+	// execMu guards the exact evaluator and the pid-accelerated
+	// executor over it. Both are built on first use and dropped by
+	// Summary.Apply; estimation reads neither.
 	execMu sync.Mutex
+	ev     *eval.Evaluator
 	exec   *exec.Executor
 
 	// editMu serializes Summary.Apply calls; editEpoch counts them.
@@ -77,9 +79,8 @@ func (d *Document) Epoch() uint64 {
 }
 
 // ParseDocument reads an XML document and prepares it: builds the path
-// encoding, labels every element with its path id, collects the
-// PathId-Frequency and Path-Order statistics, and indexes the distinct
-// path ids in the compressed binary tree.
+// encoding, labels every element with its path id, and collects the
+// PathId-Frequency and Path-Order statistics.
 func ParseDocument(r io.Reader) (*Document, error) {
 	return ParseDocumentContext(nil, r, Limits{})
 }
@@ -99,17 +100,7 @@ func prepare(doc *xmltree.Document) (*Document, error) {
 	if err != nil {
 		return nil, err
 	}
-	tree, err := pidtree.Build(lab.Distinct())
-	if err != nil {
-		return nil, err
-	}
-	return &Document{
-		doc:    doc,
-		lab:    lab,
-		tables: stats.Collect(doc, lab),
-		tree:   tree,
-		ev:     eval.New(doc),
-	}, nil
+	return &Document{doc: doc, lab: lab, tables: stats.Collect(doc, lab)}, nil
 }
 
 // Dataset names a built-in synthetic dataset generator.
@@ -169,13 +160,19 @@ func (d *Document) WriteXML(w io.Writer, indent bool) error {
 }
 
 // ExactCount evaluates the query exactly on the document tree and
-// returns the true selectivity of its target node.
+// returns the true selectivity of its target node. The first exact
+// call after a load or an edit indexes the tree for evaluation.
 func (d *Document) ExactCount(query string) (int, error) {
-	p, err := xpath.Parse(query)
-	if err != nil {
-		return 0, err
+	return d.ExactCountContext(nil, query)
+}
+
+// evaluator returns the document's exact evaluator, indexing the tree
+// on the first call after a load or an edit. The caller holds execMu.
+func (d *Document) evaluator() *eval.Evaluator {
+	if d.ev == nil {
+		d.ev = eval.New(d.doc)
 	}
-	return d.ev.Selectivity(p)
+	return d.ev
 }
 
 // IndexedCount evaluates the query exactly like ExactCount, but first
@@ -190,7 +187,7 @@ func (d *Document) IndexedCount(query string) (int, error) {
 	}
 	d.execMu.Lock()
 	if d.exec == nil {
-		d.exec = exec.New(d.doc, d.lab, d.tables)
+		d.exec = exec.New(d.evaluator(), d.lab, d.tables)
 	}
 	ex := d.exec
 	d.execMu.Unlock()
@@ -214,7 +211,10 @@ func (d *Document) Matches(query string) ([]Match, error) {
 	if err != nil {
 		return nil, err
 	}
-	nodes, err := d.ev.Matches(p)
+	d.execMu.Lock()
+	ev := d.evaluator()
+	d.execMu.Unlock()
+	nodes, err := ev.Matches(p)
 	if err != nil {
 		return nil, err
 	}
@@ -288,10 +288,9 @@ type Summary struct {
 	opts SummaryOptions
 	est  *core.Estimator
 
-	lab  *pathenc.Labeling
-	tree *pidtree.Tree
-	ps   *histogram.PSet
-	os   *histogram.OSet
+	lab *pathenc.Labeling
+	ps  *histogram.PSet
+	os  *histogram.OSet
 
 	pBytes, oBytes int
 
@@ -319,7 +318,7 @@ func (d *Document) BuildSummary(opts SummaryOptions) *Summary {
 // buildSummary is the body of BuildSummary and BuildSummaryContext; a
 // nil ctx never cancels.
 func (d *Document) buildSummary(ctx context.Context, opts SummaryOptions) (*Summary, error) {
-	s, err := summarize(ctx, opts, d.lab, d.tree, d.tables)
+	s, err := summarize(ctx, opts, d.lab, d.tables)
 	if err != nil {
 		return nil, err
 	}
@@ -329,7 +328,7 @@ func (d *Document) buildSummary(ctx context.Context, opts SummaryOptions) (*Summ
 
 // summarize builds the histograms of a labeled document's tables and
 // assembles its summary; BuildSummary and SummarizeStream share it.
-func summarize(ctx context.Context, opts SummaryOptions, lab *pathenc.Labeling, tree *pidtree.Tree, tables *stats.Tables) (*Summary, error) {
+func summarize(ctx context.Context, opts SummaryOptions, lab *pathenc.Labeling, tables *stats.Tables) (*Summary, error) {
 	n := lab.NumDistinct()
 	pv, ov := opts.thresholds()
 	ps, err := histogram.BuildPSetContext(ctx, tables.Freq, n, pv)
@@ -340,15 +339,15 @@ func summarize(ctx context.Context, opts SummaryOptions, lab *pathenc.Labeling, 
 	if err != nil {
 		return nil, err
 	}
-	return newSummary(opts, lab, tree, tables, ps, os), nil
+	return newSummary(opts, lab, tables, ps, os), nil
 }
 
 // newSummary is the one assembler of a Summary, whatever built its
 // parts: an Exact summary estimates from the tables and reports their
 // sizes, any other from the histograms. tables may be nil only when
 // opts is not Exact.
-func newSummary(opts SummaryOptions, lab *pathenc.Labeling, tree *pidtree.Tree, tables *stats.Tables, ps *histogram.PSet, os *histogram.OSet) *Summary {
-	s := &Summary{opts: opts, lab: lab, tree: tree, ps: ps, os: os}
+func newSummary(opts SummaryOptions, lab *pathenc.Labeling, tables *stats.Tables, ps *histogram.PSet, os *histogram.OSet) *Summary {
+	s := &Summary{opts: opts, lab: lab, ps: ps, os: os}
 	if opts.Exact {
 		n := lab.NumDistinct()
 		s.est = core.New(lab, core.TableSource{Tables: tables})
@@ -410,11 +409,13 @@ func (b SizeBreakdown) Total() int {
 	return b.EncodingTableBytes + b.PidBinaryTreeBytes + b.PHistogramBytes + b.OHistogramBytes
 }
 
-// Sizes returns the summary's memory breakdown.
+// Sizes returns the summary's memory breakdown. Each call builds the
+// compressed path-id binary tree of §6 over the distinct path ids to
+// measure it; estimation never reads the tree, so no summary keeps one.
 func (s *Summary) Sizes() SizeBreakdown {
 	return SizeBreakdown{
 		EncodingTableBytes: s.lab.Table.SizeBytes(),
-		PidBinaryTreeBytes: s.tree.SizeBytes(),
+		PidBinaryTreeBytes: pidtree.MustBuild(s.lab.Distinct()).SizeBytes(),
 		PHistogramBytes:    s.pBytes,
 		OHistogramBytes:    s.oBytes,
 	}
@@ -432,8 +433,9 @@ func (s *Summary) Save(w io.Writer) error {
 // streaming passes, without materializing the document tree — the
 // route for inputs too large to hold in memory. Peak memory is
 // O(max fanout × depth) plus the statistics tables. The returned
-// Summary carries no document, so only Estimate, Sizes and Save are
-// available; ExactCount needs ParseDocument/LoadDocument.
+// Summary carries no document: it estimates (Estimate, Explain,
+// EstimateQuery, EstimateBatch), reports Sizes and saves, but cannot
+// Apply edits; ExactCount needs ParseDocument/LoadDocument.
 func SummarizeFile(path string, opts SummaryOptions) (*Summary, error) {
 	return SummarizeFileContext(nil, path, opts, Limits{})
 }
@@ -446,8 +448,9 @@ func SummarizeStream(opener func() (io.ReadCloser, error), opts SummaryOptions) 
 }
 
 // ReadSummary loads a summary serialized by Save. The returned
-// Summary estimates exactly like the original; it carries no document,
-// so only Estimate and Sizes are available.
+// Summary estimates exactly like the original (Estimate, Explain,
+// EstimateQuery, EstimateBatch), reports the same Sizes and saves the
+// same bytes; it carries no document, so it cannot Apply edits.
 func ReadSummary(r io.Reader) (*Summary, error) {
 	return ReadSummaryContext(nil, r, Limits{})
 }

@@ -2,6 +2,7 @@ package xpathest
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"os"
 	"strings"
@@ -118,19 +119,74 @@ func TestSummaryEstimateExactOnSimple(t *testing.T) {
 	}
 }
 
+// TestSummarySizes pins every part of the size breakdown on each route
+// that yields a summary — built, streamed, and loaded back from its
+// Save bytes — and checks that an edited summary reports the sizes of
+// a summary built from scratch over the edited document.
 func TestSummarySizes(t *testing.T) {
+	xmark, err := GenerateDataset(XMark, 1, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		doc  *Document
+		opts SummaryOptions
+		want SizeBreakdown
+	}{
+		{"book", mustDoc(t, bookXML), SummaryOptions{}, SizeBreakdown{103, 39, 113, 208}},
+		{"XMark", xmark, SummaryOptions{PVariance: 2, OVariance: 4}, SizeBreakdown{14807, 6283, 4797, 11228}},
+	}
+	for _, c := range cases {
+		built := c.doc.BuildSummary(c.opts)
+		var xml bytes.Buffer
+		if err := c.doc.WriteXML(&xml, false); err != nil {
+			t.Fatal(err)
+		}
+		streamed, err := SummarizeStream(func() (io.ReadCloser, error) {
+			return io.NopCloser(bytes.NewReader(xml.Bytes())), nil
+		}, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		read, err := ReadSummary(bytes.NewReader(saveBytes(t, built)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []struct {
+			route string
+			sum   *Summary
+		}{{"BuildSummary", built}, {"SummarizeStream", streamed}, {"ReadSummary", read}} {
+			if got := r.sum.Sizes(); got != c.want {
+				t.Errorf("%s %s: Sizes() = %+v, want %+v", c.name, r.route, got, c.want)
+			}
+		}
+	}
+	if got, want := cases[0].want.Total(), 103+39+113+208; got != want {
+		t.Fatalf("Total() = %d, want %d", got, want)
+	}
+
 	d := mustDoc(t, bookXML)
 	sum := d.BuildSummary(SummaryOptions{})
-	sz := sum.Sizes()
-	if sz.Total() <= 0 {
-		t.Fatal("zero summary size")
-	}
-	if sz.Total() != sz.EncodingTableBytes+sz.PidBinaryTreeBytes+sz.PHistogramBytes+sz.OHistogramBytes {
-		t.Fatal("Total does not sum components")
-	}
 	coarse := d.BuildSummary(SummaryOptions{PVariance: 14, OVariance: 14}).Sizes()
-	if coarse.PHistogramBytes > sz.PHistogramBytes {
+	if coarse.PHistogramBytes > sum.Sizes().PHistogramBytes {
 		t.Fatal("coarser histogram is larger")
+	}
+	// A <para/> in a chapter repeats a path; an <index/> in a book adds
+	// one, so the script takes both routes of Apply.
+	res, err := sum.Apply(EditScript{Ops: []EditOp{
+		{Insert: true, Loc: []int{0, 1}, Index: 2, XML: "<para/>"},
+		{Insert: true, Loc: []int{1}, XML: "<index/>"},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FastOps != 1 || res.RebuildOps != 1 {
+		t.Fatalf("ops routed %d fast / %d rebuild, want 1/1", res.FastOps, res.RebuildOps)
+	}
+	_, fresh := rebuiltSummary(t, d, SummaryOptions{})
+	if got, want := res.Summary.Sizes(), fresh.Sizes(); got != want {
+		t.Fatalf("edited Sizes() = %+v, fresh build %+v", got, want)
 	}
 }
 
@@ -296,7 +352,9 @@ func TestReadSummaryRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestSummaryConcurrentUse exercises the documented concurrency safety.
+// TestSummaryConcurrentUse exercises the documented concurrency
+// safety, including the first exact calls racing to build the
+// document's evaluator and executor.
 func TestSummaryConcurrentUse(t *testing.T) {
 	d := mustDoc(t, bookXML)
 	sum := d.BuildSummary(SummaryOptions{})
@@ -312,6 +370,14 @@ func TestSummaryConcurrentUse(t *testing.T) {
 					return
 				}
 				if _, err := d.ExactCount("//book/chapter"); err != nil {
+					errs <- err
+					return
+				}
+				if _, err := d.Matches("//chapter/para"); err != nil {
+					errs <- err
+					return
+				}
+				if _, err := d.IndexedCount("//book/chapter"); err != nil {
 					errs <- err
 					return
 				}
