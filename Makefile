@@ -135,7 +135,7 @@ race:
 # (TestWitTableConcurrent checks its slots are filled before they are
 # published), the server's plan cache, the estimate result cache
 # (TestEstimateCacheHammer in the root package drives concurrent
-# Get/Put/EstimateQuery across epochs and scopes), and EstimateBatch —
+# Get/Put/EstimateQuery across summaries and scopes), and EstimateBatch —
 # plus the differential harness, whose cold/warmed/batch/cached
 # estimator comparison hammers the kernel's atomic publication of the
 # snapshot and witness slots from concurrent seed workers.

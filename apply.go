@@ -125,10 +125,11 @@ type ApplyResult struct {
 // on; for Exact summaries, even its backing tables did). Summaries
 // without a document — ReadSummary, SummarizeStream — cannot Apply.
 // Each document serializes its Apply calls, and each successful call
-// advances the epoch (Summary.Epoch), which retires EstimateCache
-// entries of the superseded state. If a mid-script op fails, the
-// document keeps the applied prefix, the epoch still advances, and no
-// new summary is returned.
+// advances the epoch (Summary.Epoch). The returned summary has a new
+// ID, so EstimateCache entries of the superseded state are never
+// served for it. If a mid-script op fails, the document keeps the
+// applied prefix, the epoch still advances, and no new summary is
+// returned.
 func (s *Summary) Apply(sc EditScript) (*ApplyResult, error) {
 	d := s.src
 	if d == nil {

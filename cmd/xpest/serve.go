@@ -33,7 +33,7 @@ func cmdServe(args []string) error {
 	sumBytes := fs.Int64("max-summary-bytes", def.MaxSummaryBytes, "max summary stream bytes (0 = unlimited)")
 	queryLen := fs.Int("max-query-len", def.MaxQueryLen, "max query length in bytes (0 = unlimited)")
 	batchQueries := fs.Int("max-batch-queries", def.MaxBatchQueries, "max queries per /estimate/batch request (0 = unlimited)")
-	resultCache := fs.Int64("result-cache-bytes", 4<<20, "byte budget for the epoch-keyed estimate result cache (negative = disabled)")
+	resultCache := fs.Int64("result-cache-bytes", 4<<20, "byte budget for the estimate result cache, keyed by summary and query (negative = disabled)")
 
 	readRetries := fs.Int("store-read-retries", 2, "extra summary read attempts before a load fails")
 	backoffBase := fs.Duration("store-backoff", 5*time.Millisecond, "base delay between summary read retries (doubles per attempt, jittered)")

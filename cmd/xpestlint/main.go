@@ -3,9 +3,8 @@
 // errtaxonomy, ctxpropagate, allocbudget), the CFG-based concurrency
 // suite (atomicfield, cowpublish, guardedby, goroutinescope), the
 // interprocedural determinism/purity suite (maporder, floatdet,
-// purity, errhttpmap), and the columnar-layout protocol suite
-// (arenaalias, epochorder) — with the standard vet suite, and runs in
-// two modes:
+// purity, errhttpmap), and the columnar-layout protocol analyzer
+// (arenaalias) — with the standard vet suite, and runs in two modes:
 //
 //	xpestlint ./...                     # standalone: re-execs go vet -vettool=itself
 //	go vet -vettool=$(pwd)/xpestlint    # driver mode: unitchecker protocol
@@ -53,7 +52,6 @@ import (
 	"xpathest/internal/analysis/atomicfield"
 	"xpathest/internal/analysis/cowpublish"
 	"xpathest/internal/analysis/ctxpropagate"
-	"xpathest/internal/analysis/epochorder"
 	"xpathest/internal/analysis/errhttpmap"
 	"xpathest/internal/analysis/errtaxonomy"
 	"xpathest/internal/analysis/floatdet"
@@ -99,11 +97,9 @@ var defaultScopes = map[*analysis.Analyzer]string{
 	cowpublish.Analyzer:     "",
 	guardedby.Analyzer:      "",
 	goroutinescope.Analyzer: "",
-	// The columnar-layout protocols bind everywhere too: arenaalias is
-	// the slab-contents half of cowpublish's publication freeze, and
-	// epochorder follows EstimateCache wherever it is fed from.
+	// The columnar-layout protocol binds everywhere too: arenaalias is
+	// the slab-contents half of cowpublish's publication freeze.
 	arenaalias.Analyzer: "",
-	epochorder.Analyzer: "",
 	// Map-iteration order feeding float accumulation or serialized
 	// output breaks the bit-for-bit estimate invariant anywhere — the
 	// server's JSON responses as much as the kernel.
@@ -145,7 +141,6 @@ func suite() []*analysis.Analyzer {
 		atomicfield.Analyzer,
 		cowpublish.Analyzer,
 		arenaalias.Analyzer,
-		epochorder.Analyzer,
 		guardedby.Analyzer,
 		goroutinescope.Analyzer,
 		maporder.Analyzer,

@@ -20,7 +20,6 @@ import (
 	"xpathest/internal/analysis/atomicfield"
 	"xpathest/internal/analysis/cowpublish"
 	"xpathest/internal/analysis/ctxpropagate"
-	"xpathest/internal/analysis/epochorder"
 	"xpathest/internal/analysis/errhttpmap"
 	"xpathest/internal/analysis/errtaxonomy"
 	"xpathest/internal/analysis/floatdet"
@@ -55,10 +54,9 @@ var fixtureFloors = []struct {
 	{floatdet.Analyzer, 4},
 	{purity.Analyzer, 4},
 	{errhttpmap.Analyzer, 2},
-	// The columnar-layout suite's floors pin the carve-from-shared-
-	// chunk write/retention shapes and the three epoch-protocol rules.
+	// The columnar-layout floor pins the carve-from-shared-chunk
+	// write/retention shapes.
 	{arenaalias.Analyzer, 3},
-	{epochorder.Analyzer, 3},
 }
 
 func TestSeededViolationsStillReported(t *testing.T) {

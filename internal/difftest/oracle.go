@@ -52,7 +52,7 @@ type Invariant string
 const (
 	// InvPathsAgree: the six estimator paths — cold kernel, warmed
 	// kernel, EstimateBatch, a summary serialized through summaryio and
-	// read back, the epoch-keyed result cache's hit path, and a summary
+	// read back, the summary-keyed result cache's hit path, and a summary
 	// built by SummarizeStream from the document's XML — return
 	// bit-identical values (or identical errors). Estimation is a pure
 	// function of (summary, query), and the streamed summary is the
@@ -316,10 +316,6 @@ func (c *Checker) CheckDoc(p *Pair, queries []string) Result {
 		// compared value is exactly what a second client would be served
 		// from cache.
 		cache := xpathest.NewEstimateCache(1 << 20)
-		// The harness owns the only handle on this cache and never swaps
-		// a registry under it, so one synthetic epoch covers the run —
-		// held in a local so every cache call demonstrably shares it.
-		cacheEpoch := uint64(1)
 
 		for i, q := range queries {
 			res.QueriesChecked++
@@ -349,9 +345,9 @@ func (c *Checker) CheckDoc(p *Pair, queries []string) Result {
 			var cached estimate
 			if qc, cerr := xpathest.CompileQuery(q); cerr != nil {
 				cached = estimate{0, cerr}
-			} else if _, err := cache.EstimateQuery(cacheEpoch, "difftest", warm, qc); err != nil {
+			} else if _, err := cache.EstimateQuery(warm, qc); err != nil {
 				cached = estimate{0, err}
-			} else if hv, ok := cache.Get(cacheEpoch, "difftest", qc); !ok {
+			} else if hv, ok := cache.Get(warm.ID(), "", qc); !ok {
 				cached = estimate{0, fmt.Errorf("result cache dropped a just-stored estimate")}
 			} else {
 				cached = estimate{hv, nil}

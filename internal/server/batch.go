@@ -75,18 +75,17 @@ func (c *planCache) compile(query string) (*xpathest.Query, error) {
 	return q, nil
 }
 
-// estimateCached estimates one compiled query through the epoch-keyed
-// result cache: finished estimates survive across requests until the
-// registry republishes. Only successful estimates are cached; the
-// epoch must have been read before the summary was fetched from the
-// registry (see registry.epoch).
-func (s *Server) estimateCached(ctx context.Context, epoch uint64, name string, sum *xpathest.Summary, q *xpathest.Query) (float64, error) {
-	if v, ok := s.results.Get(epoch, name, q); ok {
+// estimateCached estimates one compiled query on sum through the
+// result cache, keyed by (sum.ID(), canonical query): finished
+// estimates survive across requests for as long as sum serves. Only
+// successful estimates are cached.
+func (s *Server) estimateCached(ctx context.Context, sum *xpathest.Summary, q *xpathest.Query) (float64, error) {
+	if v, ok := s.results.Get(sum.ID(), "", q); ok {
 		return v, nil
 	}
 	v, err := sum.EstimateQueryContext(ctx, q)
 	if err == nil {
-		s.results.Put(epoch, name, q, v)
+		s.results.Put(sum.ID(), "", q, v)
 	}
 	return v, err
 }
@@ -154,7 +153,6 @@ func (s *Server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 
 	// Stale entries carry a last-good summary — they estimate normally
 	// (same proven bytes); only a name with nothing loadable degrades.
-	epoch := s.reg.epoch()
 	e, ok := s.reg.get(req.Summary)
 	degraded := !ok || e.sum == nil
 	reason := ""
@@ -208,7 +206,7 @@ func (s *Server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 			item.Reason = reason
 			return item
 		}
-		v, err := s.estimateCached(ctx, epoch, req.Summary, e.sum, q)
+		v, err := s.estimateCached(ctx, e.sum, q)
 		if err != nil {
 			return fail(err)
 		}

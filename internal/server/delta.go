@@ -11,10 +11,9 @@ import (
 
 // handleDelta applies a binary edit script (xpathest.EditScript.Encode
 // wire format) to the document behind a /summarize-built summary and
-// publishes the incrementally maintained successor. Publication goes
-// through the registry swap, which bumps the registry epoch — every
-// result-cache entry computed from the superseded summary is orphaned,
-// so no client is ever served an estimate of the pre-edit document.
+// publishes the incrementally maintained successor. The successor is a
+// new summary with a new ID, and the result cache keys on that ID, so
+// no client is served an estimate of the pre-edit document.
 //
 // Only document-backed entries qualify: an uploaded or store-loaded
 // summary has no document to edit and is rejected with 400. Edits to

@@ -38,7 +38,7 @@ func estimateOf(t *testing.T, base, name, q string) float64 {
 // TestDeltaEndpoint drives the full lifecycle: summarize a document,
 // apply an edit script through POST /delta, and watch the served
 // estimates move to the edited document — including the cached path,
-// which the registry-epoch bump must invalidate.
+// which the successor summary's new ID must bypass.
 func TestDeltaEndpoint(t *testing.T) {
 	s := startServer(t, Config{})
 	base := "http://" + s.Addr()

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"net/http"
+	"path/filepath"
 	"testing"
 
 	"xpathest"
@@ -26,11 +27,11 @@ func altSummaryBytes(t testing.TB) []byte {
 	return buf.Bytes()
 }
 
-// TestResultCacheCoherence proves the epoch keying end to end:
+// TestResultCacheCoherence proves the summary keying end to end:
 // estimate (fills the cache), hit it again (served from cache),
-// replace the summary under the same name, estimate again — the
-// registry republication bumped the epoch, so the cached value is
-// unreachable and the answer reflects the new summary.
+// replace the summary under the same name, estimate again — the new
+// summary has a new ID, so the cached value is unreachable and the
+// answer reflects the new summary.
 func TestResultCacheCoherence(t *testing.T) {
 	dir := t.TempDir()
 	s := startServer(t, Config{SummaryDir: dir})
@@ -61,8 +62,8 @@ func TestResultCacheCoherence(t *testing.T) {
 		t.Fatalf("repeat estimate did not hit the cache: hits %d -> %d", hitsBefore, hitsAfter)
 	}
 
-	// Same name, different document: the upload republishes the
-	// registry and orphans every cached estimate.
+	// Same name, different document: the upload publishes a new
+	// summary, which none of the cached estimates belong to.
 	code, _ = do(t, http.MethodPut, base+"/summaries/s", bytes.NewReader(altSummaryBytes(t)))
 	if code != http.StatusOK {
 		t.Fatalf("re-upload: %d", code)
@@ -71,8 +72,8 @@ func TestResultCacheCoherence(t *testing.T) {
 		t.Fatalf("estimate after replacement = %v, want 4 (stale cache?)", v)
 	}
 
-	// And a /reload pass (another republication) must keep answers
-	// correct too.
+	// And a /reload pass (which loads the file as yet another summary)
+	// must keep answers correct too.
 	if code, m := do(t, http.MethodPost, base+"/reload", nil); code != http.StatusOK {
 		t.Fatalf("reload: %d %v", code, m)
 	}
@@ -83,6 +84,57 @@ func TestResultCacheCoherence(t *testing.T) {
 	// The counters surface on /healthz.
 	if _, m := get(t, base+"/healthz"); m["result_cache_hits"] == nil || m["result_cache_misses"] == nil || m["result_cache_evictions"] == nil {
 		t.Fatal("healthz missing result cache counters")
+	}
+}
+
+// TestResultCacheScope pins that a cached estimate lives as long as
+// the summary it was computed on: an upload to another name, and a
+// reload that carries the name's summary forward as stale, both leave
+// it a hit.
+func TestResultCacheScope(t *testing.T) {
+	dir := t.TempDir()
+	s := startServer(t, fastStore(Config{SummaryDir: dir}))
+	base := "http://" + s.Addr()
+
+	for _, name := range []string{"a", "b"} {
+		if code, m := do(t, http.MethodPut, base+"/summaries/"+name, bytes.NewReader(summaryBytes(t))); code != http.StatusOK {
+			t.Fatalf("upload %s: %d %v", name, code, m)
+		}
+	}
+	hits := func() float64 {
+		t.Helper()
+		_, m := get(t, base+"/healthz")
+		return m["result_cache_hits"].(float64)
+	}
+	estimateA := func() {
+		t.Helper()
+		if v := estimateOf(t, base, "a", "//people//person"); v != 2 {
+			t.Fatalf("estimate of a = %v, want 2", v)
+		}
+	}
+	estimateA()
+
+	if code, m := do(t, http.MethodPut, base+"/summaries/b", bytes.NewReader(altSummaryBytes(t))); code != http.StatusOK {
+		t.Fatalf("upload b: %d %v", code, m)
+	}
+	before := hits()
+	estimateA()
+	if after := hits(); after != before+1 {
+		t.Fatalf("an upload to b made a's cached estimate miss: hits %v -> %v", before, after)
+	}
+
+	corruptFile(t, filepath.Join(dir, "a.xpsum"))
+	code, m := do(t, http.MethodPost, base+"/reload", nil)
+	if code != http.StatusOK {
+		t.Fatalf("reload: %d %v", code, m)
+	}
+	if stale, _ := m["stale"].([]any); len(stale) != 1 || stale[0] != "a" {
+		t.Fatalf("reload stale = %v, want [a]", m["stale"])
+	}
+	before = hits()
+	estimateA()
+	if after := hits(); after != before+1 {
+		t.Fatalf("a reload carrying a forward made its cached estimate miss: hits %v -> %v", before, after)
 	}
 }
 

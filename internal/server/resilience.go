@@ -163,6 +163,10 @@ func (r *reloadReport) normalize() {
 // The error return is for listing failures and cancellation only — in
 // both cases the current registry is left untouched, so a reload can
 // only ever improve or freeze the served view, never blank it.
+//
+// Writers do not wait for a reload. The snapshot is taken before the
+// listing, and a name a writer publishes after it keeps the writer's
+// entry (registry.merge), whether or not the listing saw the name.
 func (s *Server) reload(ctx context.Context) (reloadReport, error) {
 	rep := newReloadReport()
 	if s.store == nil {
@@ -172,6 +176,7 @@ func (s *Server) reload(ctx context.Context) (reloadReport, error) {
 	defer s.reloadMu.Unlock()
 	s.reloads.Add(1)
 
+	old := s.reg.snapshot()
 	infos, err := s.store.List(ctx)
 	if err != nil {
 		if errors.Is(err, guard.ErrCanceled) {
@@ -180,7 +185,6 @@ func (s *Server) reload(ctx context.Context) (reloadReport, error) {
 		return rep, fmt.Errorf("listing summaries: %v: %w", err, guard.Unavailable("summary reload", s.retryAfter()))
 	}
 
-	old := s.reg.snapshot()
 	next := make(map[string]*entry, len(infos))
 	seen := make(map[string]bool, len(infos))
 	now := time.Now()
@@ -241,7 +245,7 @@ func (s *Server) reload(ctx context.Context) (reloadReport, error) {
 	}
 
 	s.breakers.retain(seen)
-	s.reg.replace(next)
+	s.reg.merge(old, next)
 	rep.normalize()
 	return rep, nil
 }

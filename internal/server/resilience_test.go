@@ -6,9 +6,12 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"xpathest"
 	"xpathest/internal/summarystore"
 )
 
@@ -22,6 +25,23 @@ type flakyFS struct {
 func (f *flakyFS) Open(name string) (fs.File, error) {
 	if f.deny[name] {
 		return nil, &fs.PathError{Op: "open", Path: name, Err: fs.ErrPermission}
+	}
+	return f.FS.Open(name)
+}
+
+// gateFS wraps a summarystore FS. Once armed, the next Open signals
+// entered and waits for release: a reload parked inside its loads.
+type gateFS struct {
+	summarystore.FS
+	armed   atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (f *gateFS) Open(name string) (fs.File, error) {
+	if f.armed.CompareAndSwap(true, false) {
+		close(f.entered)
+		<-f.release
 	}
 	return f.FS.Open(name)
 }
@@ -314,5 +334,69 @@ func TestHealthzSplitWithoutStore(t *testing.T) {
 	}
 	if code, m := get(t, base+"/healthz/ready"); code != http.StatusOK {
 		t.Fatalf("/healthz/ready: %d %v", code, m)
+	}
+}
+
+// TestReloadKeepsConcurrentWrites: a /summarize of a new name and a
+// /delta of a document-backed name that publish while a reload loads
+// its files survive the reload's publication. Both keep serving their
+// own estimates and keep accepting deltas.
+func TestReloadKeepsConcurrentWrites(t *testing.T) {
+	dir := t.TempDir()
+	fsys := &gateFS{FS: summarystore.Dir(dir), entered: make(chan struct{}), release: make(chan struct{})}
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(fsys.release) }) }
+	t.Cleanup(release)
+	s := startServer(t, fastStore(Config{SummaryDir: dir, StoreFS: fsys}))
+	base := "http://" + s.Addr()
+
+	doc := `<r><a><c/></a><a><c/></a><b><c/></b></r>`
+	if code, m := do(t, http.MethodPost, base+"/summarize?name=live", bytes.NewReader([]byte(doc))); code != http.StatusOK {
+		t.Fatalf("summarize live: %d %v", code, m)
+	}
+
+	fsys.armed.Store(true)
+	reloaded := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(base+"/reload", "", nil)
+		if err != nil {
+			t.Errorf("reload: %v", err)
+			reloaded <- 0
+			return
+		}
+		resp.Body.Close()
+		reloaded <- resp.StatusCode
+	}()
+	select {
+	case <-fsys.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("reload never opened a file")
+	}
+
+	// The reload is parked in its first load: publish under it.
+	if code, m := do(t, http.MethodPost, base+"/summarize?name=fresh", bytes.NewReader([]byte(doc))); code != http.StatusOK {
+		t.Fatalf("summarize fresh: %d %v", code, m)
+	}
+	insert := encodeScript(t, xpathest.EditScript{Ops: []xpathest.EditOp{
+		{Insert: true, Loc: []int{}, Index: 1, XML: "<a><c></c></a>"},
+	}})
+	if code, m := do(t, http.MethodPost, base+"/delta/live", bytes.NewReader(insert)); code != http.StatusOK {
+		t.Fatalf("delta live: %d %v", code, m)
+	}
+	release()
+	if code := <-reloaded; code != http.StatusOK {
+		t.Fatalf("reload: status %d", code)
+	}
+
+	if v := estimateOf(t, base, "fresh", "//c"); v != 3 {
+		t.Fatalf("fresh //c = %v after the reload, want 3", v)
+	}
+	if v := estimateOf(t, base, "live", "//c"); v != 4 {
+		t.Fatalf("live //c = %v after the reload, want 4 (the delta was lost)", v)
+	}
+	for _, name := range []string{"fresh", "live"} {
+		if code, m := do(t, http.MethodPost, base+"/delta/"+name, bytes.NewReader(insert)); code != http.StatusOK {
+			t.Fatalf("delta %s after the reload: %d %v", name, code, m)
+		}
 	}
 }

@@ -69,8 +69,10 @@ type Config struct {
 	FallbackEstimate float64
 	// ResultCacheBytes bounds the finished-estimate cache shared by
 	// /estimate and /estimate/batch (default 4 MiB; negative disables
-	// it). Entries are keyed by the registry epoch, so any summary
-	// upload, summarize, or reload invalidates them wholesale.
+	// it). Entries are keyed by the summary they were computed on
+	// (xpathest.Summary.ID), so an upload, summarize, delta or loading
+	// reload of one name leaves every other name's entries valid, and a
+	// summary a reload carries forward keeps its own.
 	ResultCacheBytes int64
 	// EnablePanicRoute registers POST /debug/panic, which panics inside
 	// the handler. Tests use it to prove panic isolation; production
@@ -165,11 +167,7 @@ type entry struct {
 // and swap it in, so estimates never see a half-updated view.
 type registry struct {
 	m atomic.Pointer[map[string]*entry]
-	// ep counts map publications: every set/replace bumps it after the
-	// new map is visible. The result cache keys on it, so a bump
-	// orphans every cached estimate taken from the previous view.
-	ep atomic.Uint64
-	// mu serializes writers only (upload, summarize, reload).
+	// mu serializes writers only (upload, summarize, delta, reload).
 	mu sync.Mutex
 }
 
@@ -185,13 +183,6 @@ func (r *registry) get(name string) (*entry, bool) {
 	return e, ok
 }
 
-// epoch returns the current publication count. Readers that cache an
-// estimate must read the epoch BEFORE get: if a swap lands in between,
-// the value computed from the newer entry is cached under the older
-// epoch — an unreachable key after the swap, so at worst a wasted
-// slot, never a stale serve.
-func (r *registry) epoch() uint64 { return r.ep.Load() }
-
 func (r *registry) snapshot() map[string]*entry { return *r.m.Load() }
 
 // set installs one entry, copying the current map.
@@ -205,15 +196,22 @@ func (r *registry) set(name string, e *entry) {
 	}
 	next[name] = e
 	r.m.Store(&next)
-	r.ep.Add(1)
 }
 
-// replace swaps the whole map.
-func (r *registry) replace(next map[string]*entry) {
+// merge publishes a reload's map next, built from the snapshot base.
+// A name whose current entry is not base's entry was published by a
+// writer while the reload ran, and keeps the writer's entry: entries
+// are immutable after publication, so pointer identity means
+// "unchanged since the snapshot".
+func (r *registry) merge(base, next map[string]*entry) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	for name, e := range *r.m.Load() {
+		if base[name] != e {
+			next[name] = e
+		}
+	}
 	r.m.Store(&next)
-	r.ep.Add(1)
 }
 
 // Server is the estimation service.
@@ -540,7 +538,6 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	canonical := qq.String()
-	epoch := s.reg.epoch()
 	e, ok := s.reg.get(name)
 	if !ok || e.sum == nil {
 		// No last-good summary to serve. If the breaker is open the
@@ -565,7 +562,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	v, err := s.estimateCached(r.Context(), epoch, name, e.sum, qq)
+	v, err := s.estimateCached(r.Context(), e.sum, qq)
 	if err != nil {
 		writeError(w, err)
 		return

@@ -6,17 +6,19 @@ import (
 	"sync/atomic"
 )
 
-// EstimateCache memoizes finished estimates keyed by (epoch, scope,
-// canonical query). Estimation is a pure function of (summary, query),
-// so a cached float64 is exactly the value a recomputation would
-// produce — bit for bit, because the estimator itself is deterministic.
+// EstimateCache memoizes finished estimates keyed by (summary ID,
+// scope, canonical query). Estimation is a pure function of (summary,
+// query), so a cached float64 is exactly the value a recomputation
+// would produce — bit for bit, because the estimator itself is
+// deterministic.
 //
-// The epoch is the coherence mechanism: the caller owns an epoch
-// counter per scope (e.g. the serving layer's summary registry) and
-// bumps it whenever the scope's summary changes. Entries under older
-// epochs become unreachable — never served stale — and age out of the
-// LRU under the byte budget. A scope string separates namespaces that
-// share one cache (summaries by name, test harnesses, ...).
+// Coherence comes from the key: a Summary is immutable and its ID
+// (Summary.ID) is never reused in a process, so an entry can only be
+// served for the summary that computed it. A replaced summary leaves
+// its entries unreachable, and they age out of the LRU under the byte
+// budget; a summary kept in service keeps its entries. Callers that
+// key by Summary.ID pass an empty scope; a non-empty scope separates
+// namespaces of callers that number their own ids.
 //
 // A nil *EstimateCache is valid and disables caching: Get always
 // misses, Put is a no-op, EstimateQuery computes directly.
@@ -33,7 +35,7 @@ type EstimateCache struct {
 }
 
 type resKey struct {
-	epoch uint64
+	id    uint64
 	scope string
 	query string
 }
@@ -64,12 +66,13 @@ func NewEstimateCache(budgetBytes int64) *EstimateCache {
 	}
 }
 
-// Get returns the cached estimate of q under (epoch, scope).
-func (c *EstimateCache) Get(epoch uint64, scope string, q *Query) (float64, bool) {
+// Get returns the cached estimate of q under (id, scope), where id is
+// the Summary.ID of the summary the estimate was computed on.
+func (c *EstimateCache) Get(id uint64, scope string, q *Query) (float64, bool) {
 	if c == nil {
 		return 0, false
 	}
-	key := resKey{epoch: epoch, scope: scope, query: q.String()}
+	key := resKey{id: id, scope: scope, query: q.String()}
 	c.mu.Lock()
 	el, ok := c.items[key]
 	if ok {
@@ -84,14 +87,14 @@ func (c *EstimateCache) Get(epoch uint64, scope string, q *Query) (float64, bool
 	return el.Value.(*resEntry).v, true
 }
 
-// Put stores a finished estimate. Only successful estimates belong
-// here: errors are context- and load-dependent, not pure functions of
-// the key.
-func (c *EstimateCache) Put(epoch uint64, scope string, q *Query, v float64) {
+// Put stores a finished estimate of q on the summary whose Summary.ID
+// is id. Only successful estimates belong here: errors are context-
+// and load-dependent, not pure functions of the key.
+func (c *EstimateCache) Put(id uint64, scope string, q *Query, v float64) {
 	if c == nil {
 		return
 	}
-	key := resKey{epoch: epoch, scope: scope, query: q.String()}
+	key := resKey{id: id, scope: scope, query: q.String()}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
@@ -111,17 +114,18 @@ func (c *EstimateCache) Put(epoch uint64, scope string, q *Query, v float64) {
 	}
 }
 
-// EstimateQuery serves q from the cache or computes it on sum and
-// fills the cache. Errors are returned uncached.
-func (c *EstimateCache) EstimateQuery(epoch uint64, scope string, sum *Summary, q *Query) (float64, error) {
-	if v, ok := c.Get(epoch, scope, q); ok {
+// EstimateQuery serves q on sum from the cache, keyed by sum.ID() and
+// the empty scope, or computes it on sum and fills the cache. Errors
+// are returned uncached.
+func (c *EstimateCache) EstimateQuery(sum *Summary, q *Query) (float64, error) {
+	if v, ok := c.Get(sum.ID(), "", q); ok {
 		return v, nil
 	}
 	v, err := sum.EstimateQuery(q)
 	if err != nil {
 		return 0, err
 	}
-	c.Put(epoch, scope, q, v)
+	c.Put(sum.ID(), "", q, v)
 	return v, nil
 }
 

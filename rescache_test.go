@@ -1,8 +1,11 @@
 package xpathest
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -20,40 +23,96 @@ func cacheFixture(t testing.TB) (*Summary, *Query) {
 	return d.BuildSummary(SummaryOptions{}), q
 }
 
+// TestEstimateCacheHitMissEpoch pins the cache key: an entry serves
+// only the summary that computed it. Two builds of one document, and
+// an Apply successor, are distinct summaries with distinct IDs, so
+// none of them reads another's entries.
 func TestEstimateCacheHitMissEpoch(t *testing.T) {
-	sum, q := cacheFixture(t)
+	d, err := ParseDocumentString(bookXML)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := CompileQuery("//book/chapter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := d.BuildSummary(SummaryOptions{})
+	twin := d.BuildSummary(SummaryOptions{})
 	c := NewEstimateCache(1 << 20)
 
-	if _, ok := c.Get(1, "s", q); ok {
+	if _, ok := c.Get(sum.ID(), "", q); ok {
 		t.Fatal("empty cache returned a hit")
 	}
 	want, err := sum.EstimateQuery(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := c.EstimateQuery(1, "s", sum, q)
+	v, err := c.EstimateQuery(sum, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Float64bits(v) != math.Float64bits(want) {
 		t.Fatalf("first EstimateQuery = %v, want %v", v, want)
 	}
-	v2, ok := c.Get(1, "s", q)
+	v2, ok := c.Get(sum.ID(), "", q)
 	if !ok || math.Float64bits(v2) != math.Float64bits(want) {
 		t.Fatalf("hit = (%v, %v), want (%v, true)", v2, ok, want)
 	}
 
-	// A new epoch must not see the old entry; a different scope either.
-	if _, ok := c.Get(2, "s", q); ok {
-		t.Fatal("epoch bump still served the old entry")
+	// A second build of the same document does not share the entry,
+	// and neither does another scope under the same ID.
+	if _, ok := c.Get(twin.ID(), "", q); ok {
+		t.Fatal("a second BuildSummary of one document shared an entry")
 	}
-	if _, ok := c.Get(1, "other", q); ok {
+	if _, ok := c.Get(sum.ID(), "other", q); ok {
 		t.Fatal("different scope shared an entry")
 	}
 
+	// An Apply successor misses and is computed on the edited document:
+	// deleting the second book leaves two chapters.
+	res, err := sum.Apply(EditScript{Ops: []EditOp{{Loc: []int{1}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Get(res.Summary.ID(), "", q); ok {
+		t.Fatal("Apply successor hit its predecessor's entry")
+	}
+	if v, err := c.EstimateQuery(res.Summary, q); err != nil || v != 2 {
+		t.Fatalf("successor EstimateQuery = (%v, %v), want (2, nil)", v, err)
+	}
+
 	hits, misses, _ := c.Stats()
-	if hits != 1 || misses != 4 {
-		t.Fatalf("stats = %d hits / %d misses, want 1/4", hits, misses)
+	if hits != 1 || misses != 6 {
+		t.Fatalf("stats = %d hits / %d misses, want 1/6", hits, misses)
+	}
+
+	// Every route that yields a summary assigns a fresh, nonzero ID.
+	streamed, err := SummarizeStream(func() (io.ReadCloser, error) {
+		return io.NopCloser(strings.NewReader(bookXML)), nil
+	}, SummaryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := sum.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	read, err := ReadSummary(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[uint64]string{}
+	for route, s := range map[string]*Summary{
+		"BuildSummary": sum, "second BuildSummary": twin, "Apply": res.Summary,
+		"SummarizeStream": streamed, "ReadSummary": read,
+	} {
+		if s.ID() == 0 {
+			t.Errorf("%s: ID() = 0", route)
+		}
+		if other, dup := seen[s.ID()]; dup {
+			t.Errorf("%s and %s share ID %d", route, other, s.ID())
+		}
+		seen[s.ID()] = route
 	}
 }
 
@@ -96,7 +155,7 @@ func TestEstimateCacheNilSafe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := c.EstimateQuery(1, "s", sum, q)
+	v, err := c.EstimateQuery(sum, q)
 	if err != nil || math.Float64bits(v) != math.Float64bits(want) {
 		t.Fatalf("nil EstimateQuery = (%v, %v), want (%v, nil)", v, err, want)
 	}
@@ -106,11 +165,19 @@ func TestEstimateCacheNilSafe(t *testing.T) {
 }
 
 // TestEstimateCacheHammer drives concurrent mixed Get/Put/EstimateQuery
-// traffic across epochs and scopes under a small budget, so the race
-// detector sees the LRU mutation paths and every hit is checked for
-// bit-equality against direct estimation.
+// traffic across summaries and scopes under a small budget, so the
+// race detector sees the LRU mutation paths and every hit is checked
+// for bit-equality against direct estimation.
 func TestEstimateCacheHammer(t *testing.T) {
-	sum, _ := cacheFixture(t)
+	d, err := ParseDocumentString(bookXML)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sums := []*Summary{
+		d.BuildSummary(SummaryOptions{}),
+		d.BuildSummary(SummaryOptions{}),
+		d.BuildSummary(SummaryOptions{}),
+	}
 	queries := []string{"//book/chapter", "//book", "//library//title", "//book[/chapter]/appendix"}
 	qs := make([]*Query, len(queries))
 	want := make([]float64, len(queries))
@@ -119,7 +186,7 @@ func TestEstimateCacheHammer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, err := sum.EstimateQuery(q)
+		v, err := sums[0].EstimateQuery(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,18 +201,27 @@ func TestEstimateCacheHammer(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				qi := (g + i) % len(qs)
-				epoch := uint64(i % 3)
-				scope := "s"
+				sum := sums[i%len(sums)]
+				var v float64
+				var err error
 				if g%2 == 0 {
-					scope = "t"
+					v, err = c.EstimateQuery(sum, qs[qi])
+				} else {
+					// A scoped namespace under the same IDs, through
+					// Get and Put.
+					hv, ok := c.Get(sum.ID(), "t", qs[qi])
+					if !ok {
+						hv, err = sum.EstimateQuery(qs[qi])
+						c.Put(sum.ID(), "t", qs[qi], hv)
+					}
+					v = hv
 				}
-				v, err := c.EstimateQuery(epoch, scope, sum, qs[qi])
 				if err != nil {
 					t.Error(err)
 					return
 				}
 				if math.Float64bits(v) != math.Float64bits(want[qi]) {
-					t.Errorf("q%d epoch %d: got %v, want %v", qi, epoch, v, want[qi])
+					t.Errorf("q%d summary %d: got %v, want %v", qi, sum.ID(), v, want[qi])
 					return
 				}
 			}
@@ -159,13 +235,13 @@ func TestEstimateCacheHammer(t *testing.T) {
 func BenchmarkEstimateCached(b *testing.B) {
 	sum, q := cacheFixture(b)
 	c := NewEstimateCache(1 << 20)
-	if _, err := c.EstimateQuery(1, "bench", sum, q); err != nil {
+	if _, err := c.EstimateQuery(sum, q); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := c.Get(1, "bench", q); !ok {
+		if _, ok := c.Get(sum.ID(), "", q); !ok {
 			b.Fatal("cache miss on hit path")
 		}
 	}

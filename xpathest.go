@@ -28,6 +28,7 @@ import (
 	"io"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"xpathest/internal/core"
 	"xpathest/internal/datagen"
@@ -69,9 +70,10 @@ type Document struct {
 }
 
 // Epoch returns the document's edit epoch: 0 when loaded, advanced by
-// every Summary.Apply. Callers keying caches on a document (such as
-// EstimateCache) include it so entries from superseded states become
-// unreachable.
+// every Summary.Apply. It orders a document's states for Apply, which
+// refuses a summary built before the latest edit. Caches of estimates
+// need no epoch: they key on Summary.ID, and every Apply returns a new
+// summary with a new ID.
 func (d *Document) Epoch() uint64 {
 	d.editMu.Lock()
 	defer d.editMu.Unlock()
@@ -294,6 +296,9 @@ type Summary struct {
 
 	pBytes, oBytes int
 
+	// id is the process-unique identity newSummary assigns.
+	id uint64
+
 	// src is the document the summary was built over (nil when loaded
 	// with ReadSummary or built by SummarizeStream) and epoch the
 	// document's edit epoch at build time; Apply needs both.
@@ -301,9 +306,21 @@ type Summary struct {
 	epoch uint64
 }
 
+// summaryIDs numbers summaries as newSummary assembles them. A counter
+// rather than the *Summary pointer keys EstimateCache, so the cache
+// does not keep superseded summaries reachable.
+var summaryIDs atomic.Uint64
+
+// ID returns the summary's process-unique identity: nonzero, and
+// distinct for every summary built, streamed, read or returned by
+// Apply in this process. A Summary is immutable, so (ID, canonical
+// query) is a complete key for a cached estimate (EstimateCache).
+func (s *Summary) ID() uint64 { return s.id }
+
 // Epoch returns the document edit epoch the summary was built at. A
-// summary estimates the document state of exactly that epoch; cache
-// keys derived from a summary should include it.
+// summary estimates the document state of exactly that epoch, and
+// Apply accepts only a summary of the document's current epoch. It is
+// not a cache key: summaries of different documents share epoch 0.
 func (s *Summary) Epoch() uint64 { return s.epoch }
 
 // BuildSummary constructs the p- and o-histograms at the requested
@@ -347,7 +364,7 @@ func summarize(ctx context.Context, opts SummaryOptions, lab *pathenc.Labeling, 
 // sizes, any other from the histograms. tables may be nil only when
 // opts is not Exact.
 func newSummary(opts SummaryOptions, lab *pathenc.Labeling, tables *stats.Tables, ps *histogram.PSet, os *histogram.OSet) *Summary {
-	s := &Summary{opts: opts, lab: lab, ps: ps, os: os}
+	s := &Summary{opts: opts, lab: lab, ps: ps, os: os, id: summaryIDs.Add(1)}
 	if opts.Exact {
 		n := lab.NumDistinct()
 		s.est = core.New(lab, core.TableSource{Tables: tables})
