@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -64,6 +65,63 @@ func TestApplyMatchesRebuildBitForBit(t *testing.T) {
 				t.Fatalf("opts %+v: estimate %s: apply %v, rebuild %v", opts, q, g, w)
 			}
 		}
+	}
+}
+
+// TestApplyWhileEstimating estimates on a summary from several
+// goroutines while Apply edits its document. The fast route labels the
+// inserted subtree over a clone that shares pid instances with the
+// summary being read, so it must not write to them (run under -race).
+func TestApplyWhileEstimating(t *testing.T) {
+	doc, err := ParseDocumentString(applyTestDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := doc.BuildSummary(SummaryOptions{})
+	// The answers come from a twin, so the goroutines' first estimates
+	// are cold and read the pids themselves.
+	twin, err := ParseDocumentString(applyTestDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := []string{"//c", "//d", "/r/a[/c]/d", "/r/a/c[folls::d]"}
+	want := make([]float64, len(queries))
+	for i, q := range queries {
+		if want[i], err = twin.BuildSummary(SummaryOptions{}).Estimate(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for i, q := range queries {
+					if v, err := sum.Estimate(q); err != nil || v != want[i] {
+						t.Errorf("%s = (%v, %v) during Apply, want %v", q, v, err, want[i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	// An inserted <a><c/><d/></a> reuses the pids of the first a's
+	// children: the labeler ors a shared instance into its accumulator.
+	res, err := sum.Apply(EditScript{Ops: []EditOp{{Insert: true, Loc: []int{}, Index: 0, XML: "<a><c/><d/></a>"}}})
+	close(stop)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FastOps != 1 {
+		t.Fatalf("Apply took %d fast ops, want 1", res.FastOps)
 	}
 }
 

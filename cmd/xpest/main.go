@@ -158,7 +158,7 @@ func cmdBuild(args []string) error {
 	pvar := fs.Float64("pvar", 0, "p-histogram variance threshold")
 	ovar := fs.Float64("ovar", 0, "o-histogram variance threshold")
 	out := fs.String("o", "summary.xps", "output summary file")
-	stream := fs.Bool("stream", false, "summarize -in by streaming (two passes, tree never materialized)")
+	stream := fs.Bool("stream", false, "summarize -in by streaming (one pass, tree never materialized)")
 	fs.Parse(args)
 
 	var (

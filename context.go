@@ -54,16 +54,19 @@ var (
 // cancellation: parsing stops with an ErrLimitExceeded-wrapped error as
 // soon as the document exceeds lim, and with ErrCanceled once ctx is
 // done. Limit checks run while streaming, before the offending input
-// is materialized.
+// is materialized. The one scan that builds the tree labels and
+// collects it too.
 func ParseDocumentContext(ctx context.Context, r io.Reader, lim Limits) (*Document, error) {
-	doc, err := xmltree.ParseContext(ctx, r, lim)
+	c := stats.NewCollector(true)
+	doc, err := xmltree.ParseContext(ctx, r, lim, c)
 	if err != nil {
 		return nil, err
 	}
 	if err := guard.CheckContext(ctx); err != nil {
 		return nil, err
 	}
-	return prepare(doc)
+	tables := c.Tables()
+	return &Document{doc: doc, lab: tables.Labeling, tables: tables}, nil
 }
 
 // LoadDocumentContext is LoadDocument under resource limits and
@@ -127,17 +130,22 @@ func (s *Summary) EstimateContext(ctx context.Context, query string) (float64, e
 // SummarizeFileContext is SummarizeFile under resource limits and
 // cancellation.
 func SummarizeFileContext(ctx context.Context, path string, opts SummaryOptions, lim Limits) (*Summary, error) {
-	return SummarizeStreamContext(ctx, func() (io.ReadCloser, error) { return os.Open(path) }, opts, lim)
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return SummarizeStreamContext(ctx, f, opts, lim)
 }
 
 // SummarizeStreamContext is SummarizeStream under resource limits and
-// cancellation: both streaming passes enforce lim and poll ctx, and the
+// cancellation: the streaming pass enforces lim and polls ctx, and the
 // histogram builds honor cancellation too.
-func SummarizeStreamContext(ctx context.Context, opener func() (io.ReadCloser, error), opts SummaryOptions, lim Limits) (*Summary, error) {
+func SummarizeStreamContext(ctx context.Context, r io.Reader, opts SummaryOptions, lim Limits) (*Summary, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	tables, err := stats.CollectStreamContext(ctx, opener, lim)
+	tables, err := stats.CollectStreamContext(ctx, r, lim)
 	if err != nil {
 		return nil, err
 	}

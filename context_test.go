@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"io"
 	"strings"
 	"testing"
 
@@ -43,12 +42,10 @@ type routeErr struct {
 
 // xmlRoutes runs one XML input through both routes a document takes
 // into the system — ParseDocumentContext, and SummarizeStreamContext's
-// two streaming passes — and returns each route's error.
+// streaming pass — and returns each route's error.
 func xmlRoutes(ctx context.Context, xml string, lim Limits) []routeErr {
 	_, perr := ParseDocumentContext(ctx, strings.NewReader(xml), lim)
-	_, serr := SummarizeStreamContext(ctx, func() (io.ReadCloser, error) {
-		return io.NopCloser(strings.NewReader(xml)), nil
-	}, SummaryOptions{}, lim)
+	_, serr := SummarizeStreamContext(ctx, strings.NewReader(xml), SummaryOptions{}, lim)
 	return []routeErr{{"parse", perr}, {"stream", serr}}
 }
 
@@ -268,24 +265,21 @@ func TestReadSummaryContextLimit(t *testing.T) {
 }
 
 func TestSummarizeStreamContext(t *testing.T) {
-	opener := func() (io.ReadCloser, error) {
-		return io.NopCloser(strings.NewReader(smallXML)), nil
-	}
-	s, err := SummarizeStreamContext(context.Background(), opener, SummaryOptions{}, DefaultLimits())
+	s, err := SummarizeStreamContext(context.Background(), strings.NewReader(smallXML), SummaryOptions{}, DefaultLimits())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Estimate("//item"); err != nil {
 		t.Fatal(err)
 	}
-	// Limits bite in the first streaming pass.
-	_, err = SummarizeStreamContext(context.Background(), opener, SummaryOptions{}, Limits{MaxElements: 2})
+	// Limits bite while the stream is read.
+	_, err = SummarizeStreamContext(context.Background(), strings.NewReader(smallXML), SummaryOptions{}, Limits{MaxElements: 2})
 	if !errors.Is(err, ErrLimitExceeded) {
 		t.Fatalf("got %v, want ErrLimitExceeded", err)
 	}
 	// A negative threshold is an argument error on the plain route too:
 	// it shares the Context route's body, Validate included.
-	if _, err := SummarizeStream(opener, SummaryOptions{OVariance: -1}); !errors.Is(err, ErrInvalidArgument) {
+	if _, err := SummarizeStream(strings.NewReader(smallXML), SummaryOptions{OVariance: -1}); !errors.Is(err, ErrInvalidArgument) {
 		t.Fatalf("negative variance: got %v, want ErrInvalidArgument", err)
 	}
 }

@@ -120,6 +120,19 @@ func (b *Bitset) AndNot(other *Bitset) {
 	}
 }
 
+// Grow widens b in place to width, keeping its bits: the new
+// positions, after the old ones, are zero. A b at least that wide is
+// not written to, so bitsets shared with readers may be passed.
+func (b *Bitset) Grow(width int) {
+	if width <= b.width {
+		return
+	}
+	if n := (width + wordBits - 1) / wordBits; n > len(b.words) {
+		b.words = append(b.words, make([]uint64, n-len(b.words))...)
+	}
+	b.width = width
+}
+
 func (b *Bitset) checkWidth(other *Bitset) {
 	if b.width != other.width {
 		panic(fmt.Sprintf("bitset: width mismatch %d vs %d", b.width, other.width))
@@ -355,16 +368,20 @@ func (b *Bitset) String() string {
 }
 
 // Key returns a compact string usable as a map key. Two bitsets have
-// the same key iff they are Equal. The representation is not
+// the same key iff they set the same positions, whatever their widths,
+// so a bitset keeps its key when Grow widens it. The key spells the
+// words up to the last non-zero one, each least significant byte
+// first. Leaving the zero words out keeps the byte order among the
+// keys of equal-width bitsets. The representation is not
 // human-readable; use String for display.
 func (b *Bitset) Key() string {
+	words := b.words
+	for len(words) > 0 && words[len(words)-1] == 0 {
+		words = words[:len(words)-1]
+	}
 	var sb strings.Builder
-	sb.Grow(len(b.words)*8 + 4)
-	sb.WriteByte(byte(b.width))
-	sb.WriteByte(byte(b.width >> 8))
-	sb.WriteByte(byte(b.width >> 16))
-	sb.WriteByte(byte(b.width >> 24))
-	for _, w := range b.words {
+	sb.Grow(len(words) * 8)
+	for _, w := range words {
 		for s := 0; s < 64; s += 8 {
 			sb.WriteByte(byte(w >> uint(s)))
 		}

@@ -197,6 +197,8 @@ func TestEqualDifferentWidth(t *testing.T) {
 	}
 }
 
+// TestKeyUniqueness checks that two bitsets share a key exactly when
+// they set the same positions.
 func TestKeyUniqueness(t *testing.T) {
 	seen := map[string]string{}
 	rng := rand.New(rand.NewSource(7))
@@ -208,11 +210,14 @@ func TestKeyUniqueness(t *testing.T) {
 				b.Set(pos)
 			}
 		}
-		k := b.Key()
-		if prev, ok := seen[k]; ok && prev != b.String()+"#"+itoa(width) {
-			t.Fatalf("key collision: %q vs %q", prev, b.String())
+		k, ones := b.Key(), itoa(len(b.Ones()))
+		for _, pos := range b.Ones() {
+			ones += "," + itoa(pos)
 		}
-		seen[k] = b.String() + "#" + itoa(width)
+		if prev, ok := seen[k]; ok && prev != ones {
+			t.Fatalf("key collision: positions %s vs %s", prev, ones)
+		}
+		seen[k] = ones
 	}
 }
 
@@ -228,11 +233,53 @@ func itoa(n int) string {
 	return string(sb)
 }
 
-func TestKeyWidthSensitive(t *testing.T) {
-	a := New(8) // all zero, width 8
-	b := New(16)
-	if a.Key() == b.Key() {
-		t.Fatal("keys of different-width zero sets collide")
+// TestKeyIgnoresWidth checks that widening keeps a bitset's key, and
+// that among equal-width bitsets keys sort as their full word
+// spellings do: leaving trailing zero words out moves no key past
+// another.
+func TestKeyIgnoresWidth(t *testing.T) {
+	if New(8).Key() != New(130).Key() {
+		t.Fatal("keys of different-width zero sets differ")
+	}
+	full := func(b *Bitset) string {
+		var sb strings.Builder
+		for _, w := range b.words {
+			for s := 0; s < 64; s += 8 {
+				sb.WriteByte(byte(w >> uint(s)))
+			}
+		}
+		return sb.String()
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 300; i++ {
+		width := 1 + rng.Intn(200)
+		a, b := New(width), New(width)
+		// Sparse bits, so trailing zero words are common.
+		for k := rng.Intn(3); k > 0; k-- {
+			a.Set(1 + rng.Intn(width))
+			b.Set(1 + rng.Intn(width))
+		}
+		wide := a.Clone()
+		wide.Grow(width + 1 + rng.Intn(200))
+		if wide.Key() != a.Key() {
+			t.Fatalf("Grow changed the key of %s", a)
+		}
+		if got, want := strings.Compare(a.Key(), b.Key()), strings.Compare(full(a), full(b)); got != want {
+			t.Fatalf("key order of %s vs %s is %d, full words say %d", a, b, got, want)
+		}
+	}
+}
+
+func TestGrow(t *testing.T) {
+	b := MustFromString("101")
+	b.Grow(70)
+	if b.Width() != 70 || b.String() != "101"+strings.Repeat("0", 67) {
+		t.Fatalf("Grow(70) = %d bits %s", b.Width(), b)
+	}
+	b.Set(70)
+	b.Grow(5)
+	if b.Width() != 70 || !b.Test(70) {
+		t.Fatal("Grow to a narrower width changed the bitset")
 	}
 }
 

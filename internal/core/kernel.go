@@ -401,14 +401,17 @@ func buildSnapshot(lab *pathenc.Labeling, src Source) *snapshot {
 
 // canonicalEntries copies a source's (pid, frequency) list into a
 // fixed pid order. Equivalent sources disagree on list order (exact
-// tables keep insertion order, histograms sort by frequency), and the
+// tables list pids as elements first close, delta maintenance appends
+// new ones, histograms sort by frequency), and the
 // estimator's float summations follow snapshot order, so without a
 // canonical order two equivalent sources could differ in the last
 // bits of an estimate — which would break the bit-determinism the
 // differential harness (and any cache keyed on estimates) relies on.
 // The copy also keeps the source's own slice unmutated. The order is
 // Key() byte order, which is not bit order (Key lays each word out
-// least significant byte first); estimate bits are pinned to it.
+// least significant byte first, and leaves trailing zero words out,
+// which keeps the order among equal-width pids); estimate bits are
+// pinned to it.
 func canonicalEntries(src []stats.PidFreq) []stats.PidFreq {
 	keys := make([]string, len(src))
 	idx := make([]int, len(src))

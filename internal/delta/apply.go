@@ -228,7 +228,7 @@ func (a *applier) maintain(parent, inserted *xmltree.Node, removed []stats.Group
 		return false, nil
 	}
 
-	nl.Rebind(overrides)
+	nl.Rebind(st.Doc, overrides)
 	st.Doc.Renumber()
 
 	// Frequency deltas: inserted occurrences +1, removed ones -1, and
@@ -295,7 +295,7 @@ func (a *applier) maintain(parent, inserted *xmltree.Node, removed []stats.Group
 	// Alignment guard: the maintained structures must match what a
 	// from-scratch build of the edited document would produce, or the
 	// serialized summary would diverge. Any mismatch routes to rebuild.
-	if !alignmentOK(st.Doc, nl, st.Tables.Freq) {
+	if !alignmentOK(st.Doc, nl) {
 		if err := a.rebuild(); err != nil {
 			return false, err
 		}
@@ -307,17 +307,16 @@ func (a *applier) maintain(parent, inserted *xmltree.Node, removed []stats.Group
 	return true, nil
 }
 
-// rebuild re-derives labeling and statistics from the edited tree —
-// the route whose bit-identity to a fresh build is by construction.
-// The document must already be renumbered.
+// rebuild re-derives labeling and statistics from the edited tree in
+// one replay — the route whose bit-identity to a fresh build is by
+// construction. The document must already be renumbered.
 func (a *applier) rebuild() error {
 	st := a.st
-	nl, err := pathenc.Build(st.Doc)
+	tables, err := stats.Build(st.Doc)
 	if err != nil {
 		return fmt.Errorf("rebuild labeling: %w", err)
 	}
-	st.Lab = nl
-	st.Tables = stats.Collect(st.Doc, nl)
+	st.Lab, st.Tables = tables.Labeling, tables
 	a.allDirty = true
 	return nil
 }
@@ -413,8 +412,8 @@ func sortedTags(sets ...map[string]bool) []string {
 
 // alignmentOK is the fast route's guard: it walks the edited document
 // once and checks that the maintained structures equal — not just
-// semantically, but in serialization order — what pathenc.Build and
-// stats.CollectFreq would produce:
+// semantically, but in serialization order — what a rebuild would
+// produce:
 //
 //   - the distinct leaf paths, by first occurrence in document order,
 //     carry encodings exactly 1..NumPaths (so the kept encoding table
@@ -422,11 +421,12 @@ func sortedTags(sets ...map[string]bool) []string {
 //   - the distinct pids, by first occurrence in bottom-up (post-order)
 //     interning order, are exactly the instances of l.Distinct() in
 //     order (so the maintained distinct-pid list matches a rebuild's,
-//     with no orphan left behind by the edit);
-//   - each tag's frequency entries, by first occurrence in document
-//     order, sit at exactly their maintained list positions, and every
-//     maintained (tag, entry) is reached.
-func alignmentOK(doc *xmltree.Document, l *pathenc.Labeling, ft *stats.FreqTable) bool {
+//     with no orphan left behind by the edit).
+//
+// The order of each tag's frequency entries is not checked: nothing
+// reads it, since the histograms sort entries by (frequency, pid) and
+// the estimator by pid key.
+func alignmentOK(doc *xmltree.Document, l *pathenc.Labeling) bool {
 	if doc.Root == nil {
 		return false
 	}
@@ -436,8 +436,6 @@ func alignmentOK(doc *xmltree.Document, l *pathenc.Labeling, ft *stats.FreqTable
 		distinct     = l.Distinct()
 		nextDistinct = 0
 		distinctSeen = make(map[*bitset.Bitset]bool, len(distinct))
-		entryNext    = map[string]int{}
-		entrySeen    = map[string]map[*bitset.Bitset]bool{}
 		ok           = true
 	)
 	var walk func(n *xmltree.Node)
@@ -462,22 +460,6 @@ func alignmentOK(doc *xmltree.Document, l *pathenc.Labeling, ft *stats.FreqTable
 				nextPath++
 			}
 		}
-		// Per-tag frequency entry order (preorder position).
-		seen := entrySeen[n.Tag]
-		if seen == nil {
-			seen = map[*bitset.Bitset]bool{}
-			entrySeen[n.Tag] = seen
-		}
-		if !seen[pid] {
-			entries := ft.Entries(n.Tag)
-			i := entryNext[n.Tag]
-			if i >= len(entries) || entries[i].Pid != pid {
-				ok = false
-				return
-			}
-			seen[pid] = true
-			entryNext[n.Tag] = i + 1
-		}
 		for _, c := range n.Children {
 			walk(c)
 			if !ok {
@@ -485,7 +467,7 @@ func alignmentOK(doc *xmltree.Document, l *pathenc.Labeling, ft *stats.FreqTable
 			}
 		}
 		// Distinct-pid first-occurrence order (post-order position,
-		// matching the bottom-up interning of pathenc.Build).
+		// matching the bottom-up interning of the labeler).
 		if !distinctSeen[pid] {
 			if nextDistinct >= len(distinct) || distinct[nextDistinct] != pid {
 				ok = false
@@ -496,22 +478,5 @@ func alignmentOK(doc *xmltree.Document, l *pathenc.Labeling, ft *stats.FreqTable
 		}
 	}
 	walk(doc.Root)
-	if !ok {
-		return false
-	}
-	if nextPath != l.Table.NumPaths()+1 {
-		return false
-	}
-	if nextDistinct != len(distinct) {
-		return false
-	}
-	if len(entryNext) != ft.NumTags() {
-		return false
-	}
-	for tag, n := range entryNext {
-		if n != len(ft.Entries(tag)) {
-			return false
-		}
-	}
-	return true
+	return ok && nextPath == l.Table.NumPaths()+1 && nextDistinct == len(distinct)
 }

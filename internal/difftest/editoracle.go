@@ -4,13 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"strings"
 
 	"xpathest"
 	"xpathest/internal/core"
 	"xpathest/internal/delta"
+	"xpathest/internal/guard"
 	"xpathest/internal/histogram"
 	"xpathest/internal/interval"
-	"xpathest/internal/pathenc"
 	"xpathest/internal/poshist"
 	"xpathest/internal/stats"
 	"xpathest/internal/summaryio"
@@ -103,27 +104,24 @@ type editState struct {
 	exact  bool
 }
 
-// newEditState builds the state the way the root package does: parse,
-// label, collect, bucket.
+// newEditState builds the state the way the root package does: one
+// scan parses, labels and collects, then the tables are bucketed.
 func newEditState(xmlStr string, cfg SummaryConfig) (*editState, error) {
-	doc, err := xmltree.ParseString(xmlStr)
+	c := stats.NewCollector(true)
+	doc, err := xmltree.ParseContext(nil, strings.NewReader(xmlStr), guard.Limits{}, c)
 	if err != nil {
 		return nil, err
 	}
-	lab, err := pathenc.Build(doc)
-	if err != nil {
-		return nil, err
-	}
-	tables := stats.Collect(doc, lab)
+	tables := c.Tables()
 	pv, ov := cfg.PVariance, cfg.OVariance
 	if cfg.Exact {
 		pv, ov = 0, 0
 	}
-	n := lab.NumDistinct()
+	n := tables.Labeling.NumDistinct()
 	ps := histogram.BuildPSet(tables.Freq, n, pv)
 	os := histogram.BuildOSet(tables.Order, ps, n, ov)
 	return &editState{
-		st:    &delta.State{Doc: doc, Lab: lab, Tables: tables, PS: ps, OS: os},
+		st:    &delta.State{Doc: doc, Lab: tables.Labeling, Tables: tables, PS: ps, OS: os},
 		pv:    pv,
 		ov:    ov,
 		exact: cfg.Exact,

@@ -3,7 +3,6 @@ package difftest
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"math"
 	"strings"
 
@@ -290,10 +289,8 @@ func (c *Checker) CheckDoc(p *Pair, queries []string) Result {
 		}
 
 		// The streamed path builds the config from the serialized
-		// document in two streaming passes, without the tree.
-		streamed, stErr := xpathest.SummarizeStream(func() (io.ReadCloser, error) {
-			return io.NopCloser(strings.NewReader(p.XML)), nil
-		}, cfg.options())
+		// document in one streaming pass, without the tree.
+		streamed, stErr := xpathest.SummarizeStream(strings.NewReader(p.XML), cfg.options())
 		if stErr == nil {
 			if d := summaryDiff(warm, streamed); d != "" {
 				res.Violations = append(res.Violations, Violation{

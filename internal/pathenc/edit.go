@@ -31,7 +31,6 @@ var ErrPathUnknown = errors.New("pathenc: path not in encoding table")
 func (l *Labeling) CloneForEdit() *Labeling {
 	c := &Labeling{
 		Table:    l.Table,
-		doc:      l.doc,
 		pids:     append([]*bitset.Bitset(nil), l.pids...),
 		distinct: append([]*bitset.Bitset(nil), l.distinct...),
 		index:    maps.Clone(l.index),
@@ -56,17 +55,16 @@ type PidChange struct {
 // ErrPathUnknown and leaves overrides untouched; the caller discards
 // the clone in that case.
 func (l *Labeling) RelabelSubtree(sub *xmltree.Node, overrides map[*xmltree.Node]*bitset.Bitset) error {
-	prefix := ""
+	lb := &Labeler{l: l, keep: true}
 	if sub.Parent != nil {
-		prefix = sub.Parent.PathString()
+		lb.path.buf = []byte(sub.Parent.PathString())
 	}
-	pids, err := l.label(sub, prefix, 0)
-	if err != nil {
+	if err := sub.Replay(handler{lb}); err != nil {
 		return err
 	}
 	i := 0
 	sub.Walk(func(n *xmltree.Node) bool {
-		overrides[n] = pids[i]
+		overrides[n] = lb.pids[i]
 		i++
 		return true
 	})
@@ -111,14 +109,14 @@ func (l *Labeling) RecomputeAncestors(n *xmltree.Node, overrides map[*xmltree.No
 	return changes, nil
 }
 
-// Rebind rebuilds the Ord-indexed pid slice after a subtree edit: it
-// walks the edited tree in preorder (the order Renumber will assign),
-// reading each node's pid from overrides when present and from the
-// node's pre-edit Ord otherwise. It must run before Document.Renumber,
-// while the old Ord values are still valid.
-func (l *Labeling) Rebind(overrides map[*xmltree.Node]*bitset.Bitset) {
+// Rebind rebuilds the Ord-indexed pid slice after a subtree edit of
+// doc, the document l labels: it walks the edited tree in preorder (the
+// order Renumber will assign), reading each node's pid from overrides
+// when present and from the node's pre-edit Ord otherwise. It must run
+// before Document.Renumber, while the old Ord values are still valid.
+func (l *Labeling) Rebind(doc *xmltree.Document, overrides map[*xmltree.Node]*bitset.Bitset) {
 	newPids := make([]*bitset.Bitset, 0, len(l.pids))
-	l.doc.Walk(func(n *xmltree.Node) bool {
+	doc.Walk(func(n *xmltree.Node) bool {
 		p := overrides[n]
 		if p == nil {
 			p = l.pids[n.Ord]

@@ -56,7 +56,7 @@ func TestEditMaintenanceFlow(t *testing.T) {
 	if _, err := clone.RecomputeAncestors(doc.Root, overrides); err != nil {
 		t.Fatalf("RecomputeAncestors: %v", err)
 	}
-	clone.Rebind(overrides)
+	clone.Rebind(doc, overrides)
 	doc.Renumber()
 
 	var buf bytes.Buffer

@@ -4,21 +4,26 @@
 //
 // Every distinct root-to-leaf tag path of a document is assigned an
 // integer encoding (1-based, in order of first occurrence in document
-// order) and recorded in an encoding table. Every element node is then
+// order) and recorded in an encoding table. Every element node is
 // labeled with a path id — a bit sequence whose width is the number of
 // distinct paths:
 //
 //   - a leaf element sets exactly the bit of its root-to-leaf path;
 //   - an internal element's path id is the bit-or of its children's.
 //
-// Panic policy: Build operates on documents that may ultimately come
-// from untrusted input, so labeling failures (a leaf path missing from
-// the encoding table, indicating a document mutated mid-build) are
-// returned as errors; MustBuild panics on them and is for in-process
-// trees (tests, generators) only. The remaining panics in this package
-// — Path/PathTags encoding-range checks — guard programmer-error
-// invariants: every encoding handed to them is produced by this
-// package and validated at construction time.
+// Both are computable as elements close, so one pass labels a
+// document: the Labeler numbers a leaf path when it first closes (leaves
+// close in document order) and holds each id at the width the table
+// had when the id was made. Sealing the table at the end widens every
+// distinct id to the final path count; a sealed table numbers no new
+// path.
+//
+// Panic policy: labeling a sealed table fails with ErrPathUnknown on a
+// leaf path the table lacks, which the edit-maintenance entry points
+// return as an error. The remaining panics in this package —
+// Path/PathTags encoding-range checks and MustBuild — guard
+// programmer-error invariants: every encoding handed to them is
+// produced by this package and validated at construction time.
 //
 // Path ids support the containment tests of Section 2 that the path
 // join (Section 4) prunes with: strict containment of PidY by PidX
@@ -49,13 +54,22 @@ type Table struct {
 	// 1-based id; pathTagIDs mirrors pathTags with tags replaced by
 	// their ids. The witness scans on the join's hot path compare
 	// these int32s instead of strings. Built by internTags once the
-	// path set is complete, read-only afterwards.
+	// path set is complete, read-only afterwards: a table with tagIDs
+	// is sealed, and one without still grows.
 	tagIDs     map[string]int32
 	pathTagIDs [][]int32
 }
 
-// internTags builds the dense tag-id view of pathTags. Both table
-// constructors call it after the last path is added.
+// add appends a path under the next encoding and returns it.
+func (t *Table) add(p string) int {
+	t.paths = append(t.paths, p)
+	t.pathTags = append(t.pathTags, strings.Split(p, "/"))
+	t.byPath[p] = len(t.paths)
+	return len(t.paths)
+}
+
+// internTags seals the table by building the dense tag-id view of
+// pathTags, once the last path is added.
 func (t *Table) internTags() {
 	t.tagIDs = make(map[string]int32)
 	t.pathTagIDs = make([][]int32, len(t.pathTags))
@@ -158,14 +172,14 @@ func (t *Table) TagRelationship(enc int, ancTag, descTag string) Relationship {
 type Labeling struct {
 	Table *Table
 
-	doc      *xmltree.Document
 	pids     []*bitset.Bitset // indexed by node Ord; interned
 	distinct []*bitset.Bitset // in first-interning order
 
 	// index is the intern index, the only map keyed by a pid's value:
 	// it is read where pids are made (the labeler, EstimationLabeling,
 	// RecomputeAncestors). Everything downstream holds the interned
-	// instances and keys them by pointer.
+	// instances and keys them by pointer. Its key ignores width, so an
+	// id made before the table grew finds its wider equal.
 	index map[string]int // bitset key -> index into distinct
 }
 
@@ -181,9 +195,7 @@ func NewTable(paths []string) (*Table, error) {
 		if _, dup := t.byPath[p]; dup {
 			return nil, fmt.Errorf("pathenc: duplicate path %q: %w", p, guard.ErrInvalidArgument)
 		}
-		t.paths = append(t.paths, p)
-		t.pathTags = append(t.pathTags, strings.Split(p, "/"))
-		t.byPath[p] = i + 1
+		t.add(p)
 	}
 	t.internTags()
 	return t, nil
@@ -205,30 +217,18 @@ func EstimationLabeling(t *Table, distinct []*bitset.Bitset) *Labeling {
 	return l
 }
 
-// Build labels every element of doc with its path id. It replays the
-// tree through a PathCollector for the encoding table, then through a
-// Labeler for the ids. An inconsistency between the passes (possible
-// only if the tree is mutated concurrently) is reported as an error,
-// never a panic.
+// Build labels every element of doc with its path id in one replay of
+// its tree, numbering each leaf path as it first closes. It cannot
+// fail on a tree: the table grows to cover every path.
 func Build(doc *xmltree.Document) (*Labeling, error) {
-	var paths PathCollector
+	lb := NewLabeler(true)
+	lb.pids = make([]*bitset.Bitset, 0, doc.NumElements())
 	if doc.Root != nil {
-		if err := doc.Root.Replay(&paths); err != nil {
+		if err := doc.Root.Replay(handler{lb}); err != nil {
 			return nil, err
 		}
 	}
-	tbl, err := paths.Table()
-	if err != nil {
-		return nil, err
-	}
-	l := &Labeling{Table: tbl, doc: doc, index: make(map[string]int)}
-	if doc.Root != nil {
-		l.pids, err = l.label(doc.Root, "", doc.NumElements())
-		if err != nil {
-			return nil, fmt.Errorf("%v: %w", err, guard.ErrInternal)
-		}
-	}
-	return l, nil
+	return lb.Labeling(), nil
 }
 
 // MustBuild is Build that panics on error, for in-process-constructed
@@ -276,56 +276,45 @@ func (p *openPath) close() []byte {
 	return leaf
 }
 
-// PathCollector is the xmltree.Handler that gathers the distinct
-// root-to-leaf paths in first-occurrence document order, the input of
-// the encoding table.
-type PathCollector struct {
-	path  openPath
-	seen  map[string]bool
-	paths []string
-}
-
-func (c *PathCollector) Open(tag string) { c.path.open(tag) }
-
-func (c *PathCollector) Text([]byte) {}
-
-func (c *PathCollector) Close() error {
-	if leaf := c.path.close(); leaf != nil && !c.seen[string(leaf)] {
-		if c.seen == nil {
-			c.seen = make(map[string]bool)
-		}
-		p := string(leaf)
-		c.seen[p] = true
-		c.paths = append(c.paths, p)
-	}
-	return nil
-}
-
-// Table returns the encoding table of the paths collected so far.
-func (c *PathCollector) Table() (*Table, error) { return NewTable(c.paths) }
-
 // Labeler assigns path ids from element events: a leaf gets the bit of
 // its path's encoding, an inner element the bit-or of its children's
 // ids, and each id is interned as its element closes — post-order, the
-// order of Distinct.
+// order of Distinct. Over a growing table a leaf path is numbered when
+// it first closes; over a sealed one an unknown leaf path fails.
 type Labeler struct {
 	l    *Labeling
 	path openPath
 	acc  []*bitset.Bitset // per open element: or of its closed children, nil before the first
+
+	// With keep set, pids holds every element's id at its preorder
+	// rank, and rank the ranks of the open elements.
+	keep bool
+	pids []*bitset.Bitset
+	rank []int
 }
 
-// NewLabeler returns a Labeler interning into l, for events from the
-// document root.
-func NewLabeler(l *Labeling) *Labeler { return &Labeler{l: l} }
+// NewLabeler returns a Labeler over an empty, growing encoding table,
+// for events from a document root. keep keeps every element's id for
+// Labeling.PidOf, which a document kept as a tree needs; a stream
+// keeps none, so its labeling costs memory per distinct id, not per
+// element.
+func NewLabeler(keep bool) *Labeler {
+	t := &Table{byPath: make(map[string]int)}
+	return &Labeler{l: &Labeling{Table: t, index: make(map[string]int)}, keep: keep}
+}
 
 // Open starts an element.
 func (lb *Labeler) Open(tag string) {
 	lb.path.open(tag)
 	lb.acc = append(lb.acc, nil)
+	if lb.keep {
+		lb.rank = append(lb.rank, len(lb.pids))
+		lb.pids = append(lb.pids, nil)
+	}
 }
 
 // Close ends the innermost open element and returns its interned path
-// id. A leaf whose path is not in the encoding table fails with an
+// id. Over a sealed table, a leaf whose path is not in it fails with an
 // error wrapping ErrPathUnknown.
 func (lb *Labeler) Close() (*bitset.Bitset, error) {
 	n := len(lb.acc) - 1
@@ -338,61 +327,66 @@ func (lb *Labeler) Close() (*bitset.Bitset, error) {
 		}
 	}
 	pid = lb.l.intern(pid)
+	if lb.keep {
+		lb.pids[lb.rank[n]] = pid
+		lb.rank = lb.rank[:n]
+	}
 	if n > 0 {
 		if up := lb.acc[n-1]; up == nil {
 			lb.acc[n-1] = pid.Clone()
 		} else {
+			// Ids made before the table grew are narrower; widening
+			// keeps their value and their key.
+			up.Grow(pid.Width())
+			pid.Grow(up.Width())
 			up.Or(pid)
 		}
 	}
 	return pid, nil
 }
 
+// Labeling seals the table and returns the labeling of the events so
+// far: every distinct id is widened in place to the final path count,
+// so each holder of one keeps its pointer, and the tag-id view is
+// built. It is called once, after the root closes.
+func (lb *Labeler) Labeling() *Labeling {
+	l := lb.l
+	w := l.Table.NumPaths()
+	for _, p := range l.distinct {
+		p.Grow(w)
+	}
+	l.Table.internTags()
+	l.pids = lb.pids
+	return l
+}
+
+// handler is the xmltree.Handler face of a Labeler.
+type handler struct{ lb *Labeler }
+
+func (h handler) Open(tag string) { h.lb.Open(tag) }
+
+func (h handler) Text([]byte) {}
+
+func (h handler) Close() error {
+	_, err := h.lb.Close()
+	return err
+}
+
 // leafPid returns the path id of a leaf with the given root-to-leaf
-// path: the single bit of the path's encoding.
+// path: the single bit of the path's encoding, at the table's width. A
+// growing table numbers a path it has not seen next; a sealed one
+// fails with ErrPathUnknown.
 func (t *Table) leafPid(path []byte) (*bitset.Bitset, error) {
 	enc := t.byPath[string(path)]
 	if enc == 0 {
-		return nil, fmt.Errorf("%w: %s", ErrPathUnknown, path)
+		if t.tagIDs != nil {
+			return nil, fmt.Errorf("%w: %s", ErrPathUnknown, path)
+		}
+		enc = t.add(string(path))
 	}
 	pid := bitset.New(t.NumPaths())
 	pid.Set(enc)
 	return pid, nil
-}
-
-// preorder is the xmltree.Handler that labels a replayed subtree and
-// keeps each element's id at its preorder rank, the order of Node.Ord.
-type preorder struct {
-	lb   *Labeler
-	pids []*bitset.Bitset
-	rank []int // per open element
-}
-
-func (p *preorder) Open(tag string) {
-	p.rank = append(p.rank, len(p.pids))
-	p.pids = append(p.pids, nil)
-	p.lb.Open(tag)
-}
-
-func (p *preorder) Text([]byte) {}
-
-func (p *preorder) Close() error {
-	pid, err := p.lb.Close()
-	if err != nil {
-		return err
-	}
-	n := len(p.rank) - 1
-	p.pids[p.rank[n]] = pid
-	p.rank = p.rank[:n]
-	return nil
-}
-
-// label returns the ids of n's subtree in preorder; prefix is the path
-// of n's parent and size the subtree's element count, if known.
-func (l *Labeling) label(n *xmltree.Node, prefix string, size int) ([]*bitset.Bitset, error) {
-	p := preorder{lb: &Labeler{l: l, path: openPath{buf: []byte(prefix)}}, pids: make([]*bitset.Bitset, 0, size)}
-	err := n.Replay(&p)
-	return p.pids, err
 }
 
 // intern returns the canonical copy of pid, registering it if new.

@@ -3,6 +3,7 @@ package pathenc
 import (
 	"math/rand"
 	"reflect"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -47,8 +48,8 @@ func TestEncodingTableFigure1b(t *testing.T) {
 // TestLabelingFigure1 pins the path ids of every element against
 // Figure 1(a)/(c): Example 2.1 and the full PathId table.
 func TestLabelingFigure1(t *testing.T) {
-	l := buildFigure1(t)
-	doc := l.doc
+	doc := paperfig.Doc()
+	l := MustBuild(doc)
 
 	// Collect pid strings per tag in document order.
 	got := map[string][]string{}
@@ -85,9 +86,10 @@ func TestLabelingFigure1(t *testing.T) {
 }
 
 func TestInterning(t *testing.T) {
-	l := buildFigure1(t)
+	doc := paperfig.Doc()
+	l := MustBuild(doc)
 	var ds []*xmltree.Node
-	l.doc.Walk(func(n *xmltree.Node) bool {
+	doc.Walk(func(n *xmltree.Node) bool {
 		if n.Tag == "D" {
 			ds = append(ds, n)
 		}
@@ -260,43 +262,73 @@ func randomDoc(rng *rand.Rand, maxNodes int) *xmltree.Document {
 	return b.Document()
 }
 
+// wideDoc builds a random document with more than 128 distinct leaf
+// paths: group i of the root holds the leaf w<i> and a few leaves that
+// repeat earlier groups' tags.
+func wideDoc(rng *rand.Rand) *xmltree.Document {
+	b := xmltree.NewBuilder()
+	b.Open("root")
+	for i := 0; i < 130+rng.Intn(70); i++ {
+		b.Open(string(rune('a' + rng.Intn(3))))
+		b.Leaf("w"+strconv.Itoa(i), "")
+		for k := rng.Intn(3); k > 0; k-- {
+			b.Leaf("w"+strconv.Itoa(rng.Intn(i+1)), "")
+		}
+		b.Close()
+	}
+	b.Close()
+	return b.Document()
+}
+
 // Property: for every internal node, its pid is the or of its
 // children's pids; for every leaf the pid has exactly one bit — the
 // encoding of its root-to-leaf path (the labeling rules of Section 2).
+// Encodings follow the first occurrence of leaf paths in document
+// order, and every distinct pid is as wide as the table. The labeler
+// numbers paths as leaves close, so on wideDoc's documents the pids
+// made first grow across two word boundaries.
 func TestQuickLabelingInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		doc := randomDoc(rng, 1+rng.Intn(120))
-		l := MustBuild(doc)
-		ok := true
-		doc.Walk(func(n *xmltree.Node) bool {
-			pid := l.PidOf(n)
-			if n.IsLeaf() {
-				if pid.Count() != 1 {
-					ok = false
-					return false
-				}
-				if pid.FirstOne() != l.Table.Encoding(n.PathString()) {
-					ok = false
-					return false
-				}
-				return true
-			}
-			or := bitset.New(l.PidWidth())
-			for _, c := range n.Children {
-				or.Or(l.PidOf(c))
-			}
-			if !or.Equal(pid) {
-				ok = false
+		for _, doc := range []*xmltree.Document{randomDoc(rng, 1+rng.Intn(120)), wideDoc(rng)} {
+			if !labelingInvariants(doc, MustBuild(doc)) {
 				return false
 			}
-			return true
-		})
-		return ok
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func labelingInvariants(doc *xmltree.Document, l *Labeling) bool {
+	for _, p := range l.Distinct() {
+		if p.Width() != l.Table.NumPaths() {
+			return false
+		}
+	}
+	next := 1 // the encoding the next new leaf path must carry
+	ok := true
+	doc.Walk(func(n *xmltree.Node) bool {
+		pid := l.PidOf(n)
+		if n.IsLeaf() {
+			enc := l.Table.Encoding(n.PathString())
+			if pid.Count() != 1 || pid.FirstOne() != enc || enc > next {
+				ok = false
+			} else if enc == next {
+				next++
+			}
+			return ok
+		}
+		or := bitset.New(l.PidWidth())
+		for _, c := range n.Children {
+			or.Or(l.PidOf(c))
+		}
+		ok = or.Equal(pid)
+		return ok
+	})
+	return ok && next == l.Table.NumPaths()+1
 }
 
 // Property (Section 2, soundness of the join test): whenever node y is

@@ -8,23 +8,19 @@ import (
 
 // This file holds the writes of statistics collection: the frequency
 // add, the order-cell write and the sibling-group sweep. CollectFreq and
-// CollectOrder call them over a tree, the streaming collector as
-// elements close, and the incremental maintenance path (package delta)
-// with sign ±1 after a subtree edit. All counts are whole numbers
+// CollectOrder call them over a tree, the Collector as elements close,
+// and the incremental maintenance path (package delta) with sign ±1
+// after a subtree edit. All counts are whole numbers
 // stored as float64, so ±1 adjustments reproduce a from-scratch
 // collection bit for bit; structures are deleted the moment they
 // empty, keeping the mutated tables indistinguishable from freshly
 // collected ones. Every pid handed to these writes must be its
 // canonical interned instance: entries and cells are found by pointer.
 
-// NumTags returns the number of tags with at least one entry.
-func (t *FreqTable) NumTags() int { return len(t.byTag) }
-
 // AddFreq adjusts the (tag, pid) entry by d occurrences. An absent
-// entry is appended at the end of the tag's list (first-occurrence
-// order when elements are added in document order); an entry whose
-// count reaches zero is removed, and a tag with no entries left
-// disappears.
+// entry is appended at the end of the tag's list (first-close order
+// when elements are added as they close); an entry whose count reaches
+// zero is removed, and a tag with no entries left disappears.
 func (t *FreqTable) AddFreq(tag string, pid *bitset.Bitset, d float64) {
 	k := tagPid{tag, pid}
 	entries := t.byTag[tag]

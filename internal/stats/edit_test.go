@@ -37,8 +37,8 @@ func TestAddFreq(t *testing.T) {
 	bPid := lab.PidOf(doc.Root.Children[2])
 	aStr, bStr := aPid.String(), bPid.String()
 
-	if tb.Freq.NumTags() != 3 {
-		t.Fatalf("NumTags = %d, want 3", tb.Freq.NumTags())
+	if len(tb.Freq.Tags()) != 3 {
+		t.Fatalf("NumTags = %d, want 3", len(tb.Freq.Tags()))
 	}
 	tb.Freq.AddFreq("a", aPid, 1)
 	if got := freqOf(tb.Freq, "a", aStr); got != 3 {
@@ -54,8 +54,8 @@ func TestAddFreq(t *testing.T) {
 	if got := freqOf(tb.Freq, "b", bStr); got != 0 {
 		t.Errorf("b freq after drain = %v, want gone", got)
 	}
-	if tb.Freq.NumTags() != 2 {
-		t.Errorf("NumTags after drain = %d, want 2", tb.Freq.NumTags())
+	if len(tb.Freq.Tags()) != 2 {
+		t.Errorf("NumTags after drain = %d, want 2", len(tb.Freq.Tags()))
 	}
 
 	// A positive delta on an absent entry appends; a negative one on an
@@ -65,8 +65,8 @@ func TestAddFreq(t *testing.T) {
 		t.Errorf("b freq after re-add = %v, want 1", got)
 	}
 	tb.Freq.AddFreq("zz", bPid, -1)
-	if tb.Freq.NumTags() != 3 {
-		t.Errorf("NumTags after absent retract = %d, want 3", tb.Freq.NumTags())
+	if len(tb.Freq.Tags()) != 3 {
+		t.Errorf("NumTags after absent retract = %d, want 3", len(tb.Freq.Tags()))
 	}
 }
 

@@ -13,12 +13,15 @@
 // Section 6 summarize, and what the estimator of Sections 4–5 reads
 // (either directly, for variance 0, or through the histograms).
 //
-// There is one collector with two drivers. Its writes — the frequency
-// add (FreqTable.AddFreq), the order-cell write (OrderTables.AddOrder)
-// and the sibling-group sweep (OrderTables.ApplyGroup) — are called by
-// CollectFreq and CollectOrder walking a labeled tree, by
-// CollectStream as the XML driver (xmltree.Scan) closes elements, and,
-// with sign ±1, by the incremental maintenance of package delta.
+// Every build runs one handler, Collector, which labels each element
+// and adds it to both tables as it closes, so a build reads its input
+// once: the XML driver (xmltree.Scan) feeds it for a stream and, beside
+// the tree builder, for a parsed document; Build replays a built tree
+// into it. Its writes — the frequency add (FreqTable.AddFreq), the
+// order-cell write (OrderTables.AddOrder) and the sibling-group sweep
+// (OrderTables.ApplyGroup) — are also called by CollectFreq and
+// CollectOrder, the tree-walk reference over a labeled tree, and, with
+// sign ±1, by the incremental maintenance of package delta.
 package stats
 
 import (
@@ -66,9 +69,10 @@ func (t *FreqTable) Tags() []string {
 	return out
 }
 
-// Entries returns the (pid, frequency) list of a tag in first-
-// occurrence document order, or nil for an unknown tag. The slice must
-// not be modified.
+// Entries returns the (pid, frequency) list of a tag in the order its
+// pids were first added — first close for a build, first occurrence in
+// document order for CollectFreq — or nil for an unknown tag. Nothing
+// downstream reads that order. The slice must not be modified.
 func (t *FreqTable) Entries(tag string) []PidFreq { return t.byTag[tag] }
 
 // NumEntries returns the total number of (tag, pid) pairs.

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"context"
-	"fmt"
 	"io"
 
 	"xpathest/internal/guard"
@@ -10,111 +9,106 @@ import (
 	"xpathest/internal/xmltree"
 )
 
-// CollectStream computes the exact statistics tables in two streaming
-// passes over serialized XML, without ever materializing the document
-// tree — the way a production system would summarize a document too
-// large to hold in memory (the paper's DBLP input is 65 MB). Both
-// passes run the XML driver (xmltree.Scan) into the consumers the tree
-// route replays a built document into:
+// Collector is the label-and-collect xmltree.Handler of every build:
+// it labels each element as it closes, through a pathenc.Labeler whose
+// encoding table grows as leaf paths first close, and adds the element
+// to both tables through the same AddFreq and ApplyGroup CollectFreq
+// and CollectOrder call. It buffers the closed children of every open
+// element until that element's sibling group is complete, because a
+// parent's order cells need its children's final path ids: one stack
+// holds them, each open element's run above its parent's. Frequency
+// entries are therefore added as elements close, so a tag that nests
+// inside itself may list them in another order than CollectFreq; the
+// histograms and the estimator order entries canonically.
 //
-//   - pass one feeds a pathenc.PathCollector, which fixes the encoding
-//     table and with it the path-id width;
-//   - pass two feeds a pathenc.Labeler and adds each element to both
-//     tables as it closes, through the same AddFreq and ApplyGroup
-//     CollectFreq and CollectOrder call.
-//
-// Peak memory is O(max fanout × depth) plus the tables themselves —
-// per-sibling (tag, pid) pairs must be buffered until the parent
-// closes, because a parent's order cells need its children's final
-// path ids. Frequency entries are added in post-order, so a tag that
-// nests inside itself may list them in another order than CollectFreq;
-// the histograms and the estimator order entries canonically.
-//
-// The opener is invoked once per pass and must return equivalent
-// streams (e.g. re-open the same file). The returned Tables carry an
-// estimation-only labeling (no per-node labels).
-func CollectStream(opener func() (io.ReadCloser, error)) (*Tables, error) {
-	return CollectStreamContext(nil, opener, guard.Limits{})
-}
-
-// CollectStreamContext is CollectStream under a context and resource
-// limits, which xmltree.Scan enforces in both passes: cancellation at
-// token-loop boundaries (errors wrap guard.ErrCanceled), and the depth,
-// element-count and byte limits as tokens arrive (errors wrap
-// guard.ErrLimitExceeded), so a hostile stream fails fast instead of
-// exhausting the collector. An opener error is returned unchanged; a
-// second pass that meets a leaf path the first did not fails with
-// guard.ErrInvalidArgument.
-func CollectStreamContext(ctx context.Context, opener func() (io.ReadCloser, error), lim guard.Limits) (*Tables, error) {
-	var paths pathenc.PathCollector
-	if err := scanPass(ctx, opener, lim, 1, &paths); err != nil {
-		return nil, err
-	}
-	table, err := paths.Table()
-	if err != nil {
-		return nil, err
-	}
-	lab := pathenc.EstimationLabeling(table, nil)
-	c := &streamCollector{
-		lb: pathenc.NewLabeler(lab),
-		t:  &Tables{Labeling: lab, Freq: newFreqTable(), Order: &OrderTables{byTag: make(map[string]*OrderTable)}},
-	}
-	if err := scanPass(ctx, opener, lim, 2, c); err != nil {
-		return nil, err
-	}
-	return c.t, nil
-}
-
-// scanPass runs one streaming pass: it opens a stream and scans it
-// into h.
-func scanPass(ctx context.Context, opener func() (io.ReadCloser, error), lim guard.Limits, pass int, h xmltree.Handler) error {
-	r, err := opener()
-	if err != nil {
-		return err
-	}
-	_, err = xmltree.Scan(ctx, r, lim, h)
-	closeErr := r.Close()
-	if err != nil {
-		return fmt.Errorf("stats: stream pass %d: %w", pass, err)
-	}
-	return closeErr
-}
-
-// streamCollector is pass two's xmltree.Handler: it labels each
-// element as it closes and adds it to both tables, buffering the
-// closed children of every open element until that element's sibling
-// group is complete.
-type streamCollector struct {
+// One read of the input feeds it: xmltree.Scan for a stream,
+// xmltree.ParseContext alongside the tree builder for a document, and
+// Node.Replay for a tree already built (Build).
+type Collector struct {
 	lb   *pathenc.Labeler
 	t    *Tables
 	open []openElement
+	kids []GroupMember // closed children of the open elements, in document order
 }
 
-// openElement is one element of pass two that has not closed yet.
+// openElement is one element that has not closed yet.
 type openElement struct {
-	tag  string
-	kids []GroupMember // closed children, in document order
+	tag   string
+	start int // where its closed children begin in kids
 }
 
-func (c *streamCollector) Open(tag string) {
+// NewCollector returns a Collector for the events of one document
+// from its root. keep keeps every element's path id, as a document
+// kept as a tree needs (pathenc.NewLabeler).
+func NewCollector(keep bool) *Collector {
+	return &Collector{
+		lb: pathenc.NewLabeler(keep),
+		t:  &Tables{Freq: newFreqTable(), Order: &OrderTables{byTag: make(map[string]*OrderTable)}},
+	}
+}
+
+func (c *Collector) Open(tag string) {
 	c.lb.Open(tag)
-	c.open = append(c.open, openElement{tag: tag})
+	c.open = append(c.open, openElement{tag: tag, start: len(c.kids)})
 }
 
-func (c *streamCollector) Text([]byte) {}
+func (c *Collector) Text([]byte) {}
 
-func (c *streamCollector) Close() error {
+func (c *Collector) Close() error {
 	pid, err := c.lb.Close()
 	if err != nil {
-		return fmt.Errorf("%v (streams differ between passes?): %w", err, guard.ErrInvalidArgument)
+		return err
 	}
-	n := len(c.open) - 1
-	e := &c.open[n]
+	e := c.open[len(c.open)-1]
+	c.open = c.open[:len(c.open)-1]
 	c.t.Freq.AddFreq(e.tag, pid, 1)
-	c.t.Order.ApplyGroup(e.kids, 1)
-	c.open = c.open[:n]
-	if n > 0 {
-		c.open[n-1].kids = append(c.open[n-1].kids, GroupMember{Tag: e.tag, Pid: pid})
-	}
+	c.t.Order.ApplyGroup(c.kids[e.start:], 1)
+	// The element joins its parent's run (the root's entry is never read).
+	c.kids = append(c.kids[:e.start], GroupMember{Tag: e.tag, Pid: pid})
 	return nil
+}
+
+// Tables seals the labeling (pathenc.Labeler.Labeling) and returns it
+// with both tables. It is called once, after the root closes.
+func (c *Collector) Tables() *Tables {
+	c.t.Labeling = c.lb.Labeling()
+	return c.t
+}
+
+// Build labels a built document and collects both tables in one
+// replay of its tree.
+func Build(doc *xmltree.Document) (*Tables, error) {
+	c := NewCollector(true)
+	if doc.Root != nil {
+		if err := doc.Root.Replay(c); err != nil {
+			return nil, err
+		}
+	}
+	return c.Tables(), nil
+}
+
+// CollectStream computes the exact statistics tables in one streaming
+// pass over serialized XML, without ever materializing the document
+// tree — the way a production system would summarize a document too
+// large to hold in memory (the paper's DBLP input is 65 MB). Peak
+// memory is O(max fanout × depth) plus the tables themselves. The
+// returned Tables carry an estimation-only labeling (no per-node
+// labels).
+func CollectStream(r io.Reader) (*Tables, error) {
+	return CollectStreamContext(nil, r, guard.Limits{})
+}
+
+// CollectStreamContext is CollectStream under a context and resource
+// limits, which xmltree.Scan enforces: cancellation at token-loop
+// boundaries (errors wrap guard.ErrCanceled), and the depth,
+// element-count and byte limits as tokens arrive (errors wrap
+// guard.ErrLimitExceeded), so a hostile stream fails fast instead of
+// exhausting the collector. A read error is returned wrapped, with its
+// identity kept for errors.Is.
+func CollectStreamContext(ctx context.Context, r io.Reader, lim guard.Limits) (*Tables, error) {
+	c := NewCollector(false)
+	if _, err := xmltree.Scan(ctx, r, lim, c); err != nil {
+		return nil, err
+	}
+	return c.Tables(), nil
 }

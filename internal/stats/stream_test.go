@@ -15,17 +15,14 @@ import (
 	"xpathest/internal/xmltree"
 )
 
-// openerFor returns an opener over an in-memory XML serialization.
-func openerFor(t testing.TB, doc *xmltree.Document) func() (io.ReadCloser, error) {
+// readerFor returns a reader over an in-memory XML serialization.
+func readerFor(t testing.TB, doc *xmltree.Document) io.Reader {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := doc.WriteXML(&buf, false); err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
-	return func() (io.ReadCloser, error) {
-		return io.NopCloser(bytes.NewReader(data)), nil
-	}
+	return &buf
 }
 
 // assertTablesEqual compares streamed tables against tree-collected
@@ -87,36 +84,47 @@ func assertTablesEqual(t *testing.T, want, got *Tables) {
 	}
 }
 
-func TestStreamMatchesTreeFigure1(t *testing.T) {
-	doc := paperfig.Doc()
+// assertOnePassMatchesTree holds both one-pass routes, the stream and
+// the tree replay, to the tree-walk reference.
+func assertOnePassMatchesTree(t *testing.T, doc *xmltree.Document) {
+	t.Helper()
 	want := Collect(doc, nil)
-	got, err := CollectStream(openerFor(t, doc))
+	got, err := CollectStream(readerFor(t, doc))
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertTablesEqual(t, want, got)
+	replayed, err := Build(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertTablesEqual(t, want, replayed)
+	doc.Walk(func(n *xmltree.Node) bool {
+		if !replayed.Labeling.PidOf(n).Equal(want.Labeling.PidOf(n)) {
+			t.Fatalf("%s #%d: replayed pid %s, want %s", n.Tag, n.Ord, replayed.Labeling.PidOf(n), want.Labeling.PidOf(n))
+		}
+		return true
+	})
+}
+
+func TestStreamMatchesTreeFigure1(t *testing.T) {
+	assertOnePassMatchesTree(t, paperfig.Doc())
 }
 
 func TestStreamMatchesTreeDatasets(t *testing.T) {
 	for _, ds := range datagen.Datasets() {
 		t.Run(ds.Name, func(t *testing.T) {
-			doc := ds.Gen(datagen.Config{Seed: 9, Scale: 0.01})
-			want := Collect(doc, nil)
-			got, err := CollectStream(openerFor(t, doc))
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertTablesEqual(t, want, got)
+			assertOnePassMatchesTree(t, ds.Gen(datagen.Config{Seed: 9, Scale: 0.01}))
 		})
 	}
 }
 
+// failingReader fails every Read with err.
+type failingReader struct{ err error }
+
+func (r failingReader) Read([]byte) (int, error) { return 0, r.err }
+
 func TestStreamErrors(t *testing.T) {
-	bad := func(xml string) func() (io.ReadCloser, error) {
-		return func() (io.ReadCloser, error) {
-			return io.NopCloser(strings.NewReader(xml)), nil
-		}
-	}
 	// The malformed inputs of xmltree's TestParseErrors.
 	for _, c := range []string{
 		"",
@@ -133,35 +141,15 @@ func TestStreamErrors(t *testing.T) {
 		"<a>",
 		"<a><b>",
 	} {
-		if _, err := CollectStream(bad(c)); !errors.Is(err, guard.ErrMalformedDocument) {
+		if _, err := CollectStream(strings.NewReader(c)); !errors.Is(err, guard.ErrMalformedDocument) {
 			t.Errorf("CollectStream(%q) = %v, want ErrMalformedDocument", c, err)
 		}
 	}
-	// An opener failure passes through unchanged, in either pass.
-	fail := func() (io.ReadCloser, error) { return nil, io.ErrUnexpectedEOF }
-	if _, err := CollectStream(fail); !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Errorf("opener error: got %v, want io.ErrUnexpectedEOF", err)
-	}
-	calls := 0
-	secondFails := func() (io.ReadCloser, error) {
-		if calls++; calls == 2 {
-			return nil, io.ErrUnexpectedEOF
-		}
-		return io.NopCloser(strings.NewReader("<a><b/></a>")), nil
-	}
-	if _, err := CollectStream(secondFails); !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Errorf("pass-2 opener error: got %v, want io.ErrUnexpectedEOF", err)
-	}
-	// Differing streams between passes are the caller's fault.
-	calls = 0
-	flaky := func() (io.ReadCloser, error) {
-		if calls++; calls == 1 {
-			return io.NopCloser(strings.NewReader("<a><b/></a>")), nil
-		}
-		return io.NopCloser(strings.NewReader("<a><c/></a>")), nil
-	}
-	if _, err := CollectStream(flaky); !errors.Is(err, guard.ErrInvalidArgument) {
-		t.Errorf("differing passes: got %v, want ErrInvalidArgument", err)
+	// A read failure passes through, and is not the document's fault.
+	errRead := errors.New("read failed")
+	_, err := CollectStream(failingReader{errRead})
+	if !errors.Is(err, errRead) || errors.Is(err, guard.ErrMalformedDocument) {
+		t.Errorf("read error: got %v, want %v", err, errRead)
 	}
 }
 
@@ -177,10 +165,7 @@ func TestQuickStreamEquivalence(t *testing.T) {
 		if err := doc.WriteXML(&buf, false); err != nil {
 			return false
 		}
-		data := buf.Bytes()
-		got, err := CollectStream(func() (io.ReadCloser, error) {
-			return io.NopCloser(bytes.NewReader(data)), nil
-		})
+		got, err := CollectStream(&buf)
 		if err != nil {
 			return false
 		}
@@ -212,9 +197,9 @@ func TestQuickStreamEquivalence(t *testing.T) {
 	}
 }
 
-// BenchmarkCollectStream times both streaming passes over serialized
-// XML: SSPlays at scale 0.02, and XMark at perfbench's scale (seed 1,
-// scale 0.125).
+// BenchmarkCollectStream times the streaming pass over serialized XML:
+// SSPlays at scale 0.02, and XMark at perfbench's scale (seed 1, scale
+// 0.125).
 func BenchmarkCollectStream(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -232,9 +217,7 @@ func BenchmarkCollectStream(b *testing.B) {
 			b.SetBytes(int64(len(data)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := CollectStream(func() (io.ReadCloser, error) {
-					return io.NopCloser(bytes.NewReader(data)), nil
-				}); err != nil {
+				if _, err := CollectStream(bytes.NewReader(data)); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -14,8 +14,9 @@ import (
 // Open as an element starts, Text for character data directly inside
 // it, Close as it ends. Scan produces the events from serialized XML
 // and Node.Replay from a built tree, so one consumer serves both
-// sources: the tree builder of ParseContext, and the path collector,
-// labeler and statistics collector of the summary build.
+// sources: the tree builder of ParseContext, and the label-and-collect
+// handler of the summary build, which ParseContext can feed in the
+// same pass.
 type Handler interface {
 	Open(tag string)
 	// Text receives raw character data; data is valid only during

@@ -158,7 +158,7 @@ func (d *Document) finalize() {
 // Parse reads an XML document from r and builds its tree. It returns
 // an error for malformed XML or for input containing no element.
 func Parse(r io.Reader) (*Document, error) {
-	return ParseContext(nil, r, guard.Limits{})
+	return ParseContext(nil, r, guard.Limits{}, nil)
 }
 
 // ParseContext is Parse under a context and resource limits: Scan
@@ -166,9 +166,12 @@ func Parse(r io.Reader) (*Document, error) {
 // stream is read, so a hostile document (e.g. a deep-nesting bomb)
 // fails fast with an error wrapping guard.ErrLimitExceeded instead of
 // exhausting the process; cancellation is honored at token-loop
-// boundaries with an error wrapping guard.ErrCanceled.
-func ParseContext(ctx context.Context, r io.Reader, lim guard.Limits) (*Document, error) {
-	var t tree
+// boundaries with an error wrapping guard.ErrCanceled. A non-nil h
+// receives every event after the tree builder, so a consumer of the
+// document (the summary build labels and collects it) reads it in the
+// same pass; an error from h.Close stops the parse.
+func ParseContext(ctx context.Context, r io.Reader, lim guard.Limits, h Handler) (*Document, error) {
+	t := tree{next: h}
 	n, err := Scan(ctx, r, lim, &t)
 	if err != nil {
 		return nil, err
@@ -185,10 +188,12 @@ func ParseString(s string) (*Document, error) {
 
 // tree is the Handler ParseContext builds the element tree with, and
 // the tree a Builder fills. It checks neither a second root nor
-// unbalanced events: Scan rejects both, Builder panics on them.
+// unbalanced events: Scan rejects both, Builder panics on them. next,
+// if not nil, receives every event after the tree.
 type tree struct {
 	root  *Node
 	stack []*Node
+	next  Handler
 }
 
 func (t *tree) Open(tag string) {
@@ -200,12 +205,18 @@ func (t *tree) Open(tag string) {
 		p.Children = append(p.Children, n)
 	}
 	t.stack = append(t.stack, n)
+	if t.next != nil {
+		t.next.Open(tag)
+	}
 }
 
 // Text adds trimmed character data to the open element.
 func (t *tree) Text(data []byte) {
-	if data = bytes.TrimSpace(data); len(data) > 0 {
-		t.stack[len(t.stack)-1].addText(string(data))
+	if s := bytes.TrimSpace(data); len(s) > 0 {
+		t.stack[len(t.stack)-1].addText(string(s))
+	}
+	if t.next != nil {
+		t.next.Text(data)
 	}
 }
 
@@ -221,6 +232,9 @@ func (n *Node) addText(s string) {
 
 func (t *tree) Close() error {
 	t.stack = t.stack[:len(t.stack)-1]
+	if t.next != nil {
+		return t.next.Close()
+	}
 	return nil
 }
 

@@ -3,7 +3,6 @@ package xpathest
 import (
 	"bytes"
 	"context"
-	"io"
 	"testing"
 
 	"xpathest/internal/bitset"
@@ -69,19 +68,18 @@ func TestPidsAreInterned(t *testing.T) {
 	if err := d.WriteXML(&xml, false); err != nil {
 		t.Fatal(err)
 	}
-	opener := func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(xml.Bytes())), nil }
 	for _, opts := range []SummaryOptions{{Exact: true}, {PVariance: 2, OVariance: 4}} {
 		built := d.BuildSummary(opts)
 		assertInterned(t, "BuildSummary", built.lab, d.tables, built.ps, built.os)
 
-		streamed, err := SummarizeStream(opener, opts)
+		streamed, err := SummarizeStream(bytes.NewReader(xml.Bytes()), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertInterned(t, "SummarizeStream", streamed.lab, nil, streamed.ps, streamed.os)
 		// The streamed route's tables, which SummarizeStream does not
 		// keep, summarized as it summarizes them.
-		tables, err := stats.CollectStream(opener)
+		tables, err := stats.CollectStream(bytes.NewReader(xml.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}

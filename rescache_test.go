@@ -3,7 +3,6 @@ package xpathest
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"math"
 	"strings"
 	"sync"
@@ -87,9 +86,7 @@ func TestEstimateCacheHitMissEpoch(t *testing.T) {
 	}
 
 	// Every route that yields a summary assigns a fresh, nonzero ID.
-	streamed, err := SummarizeStream(func() (io.ReadCloser, error) {
-		return io.NopCloser(strings.NewReader(bookXML)), nil
-	}, SummaryOptions{})
+	streamed, err := SummarizeStream(strings.NewReader(bookXML), SummaryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,12 +97,14 @@ func LoadDocument(path string) (*Document, error) {
 	return LoadDocumentContext(nil, path, Limits{})
 }
 
+// prepare labels a built tree and collects its statistics in one
+// replay.
 func prepare(doc *xmltree.Document) (*Document, error) {
-	lab, err := pathenc.Build(doc)
+	tables, err := stats.Build(doc)
 	if err != nil {
 		return nil, err
 	}
-	return &Document{doc: doc, lab: lab, tables: stats.Collect(doc, lab)}, nil
+	return &Document{doc: doc, lab: tables.Labeling, tables: tables}, nil
 }
 
 // Dataset names a built-in synthetic dataset generator.
@@ -446,9 +448,9 @@ func (s *Summary) Save(w io.Writer) error {
 	return summaryEncode(w, s.lab, s.ps, s.os)
 }
 
-// SummarizeFile builds a summary directly from an XML file in two
-// streaming passes, without materializing the document tree — the
-// route for inputs too large to hold in memory. Peak memory is
+// SummarizeFile builds a summary directly from an XML file in one
+// streaming pass, without materializing the document tree — the route
+// for inputs too large to hold in memory. Peak memory is
 // O(max fanout × depth) plus the statistics tables. The returned
 // Summary carries no document: it estimates (Estimate, Explain,
 // EstimateQuery, EstimateBatch), reports Sizes and saves, but cannot
@@ -457,11 +459,11 @@ func SummarizeFile(path string, opts SummaryOptions) (*Summary, error) {
 	return SummarizeFileContext(nil, path, opts, Limits{})
 }
 
-// SummarizeStream is SummarizeFile over any re-openable source: the
-// opener is called once per pass and must yield equivalent streams.
+// SummarizeStream is SummarizeFile over any reader, which it reads
+// once; a read error comes back wrapped, errors.Is still finding it.
 // A negative variance threshold fails with ErrInvalidArgument.
-func SummarizeStream(opener func() (io.ReadCloser, error), opts SummaryOptions) (*Summary, error) {
-	return SummarizeStreamContext(nil, opener, opts, Limits{})
+func SummarizeStream(r io.Reader, opts SummaryOptions) (*Summary, error) {
+	return SummarizeStreamContext(nil, r, opts, Limits{})
 }
 
 // ReadSummary loads a summary serialized by Save. The returned

@@ -143,9 +143,7 @@ func TestSummarySizes(t *testing.T) {
 		if err := c.doc.WriteXML(&xml, false); err != nil {
 			t.Fatal(err)
 		}
-		streamed, err := SummarizeStream(func() (io.ReadCloser, error) {
-			return io.NopCloser(bytes.NewReader(xml.Bytes())), nil
-		}, c.opts)
+		streamed, err := SummarizeStream(bytes.NewReader(xml.Bytes()), c.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -446,6 +444,38 @@ func TestSummarizeFileMatchesInMemory(t *testing.T) {
 	}
 	if _, err := SummarizeFile("/does/not/exist.xml", SummaryOptions{}); err == nil {
 		t.Fatal("missing file accepted")
+	}
+}
+
+// TestSummarizeStreamReadsOnce summarizes a stream that can be read
+// only once — a pipe a goroutine writes the XML into — and holds it to
+// the summary of the parsed document, byte for byte.
+func TestSummarizeStreamReadsOnce(t *testing.T) {
+	d, err := GenerateDataset(XMark, 5, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var xml bytes.Buffer
+	if err := d.WriteXML(&xml, false); err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := ParseDocument(bytes.NewReader(xml.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, pw := io.Pipe()
+	defer pr.Close() // unblocks the writer if the stream is abandoned
+	go func() {
+		_, err := pw.Write(xml.Bytes())
+		pw.CloseWithError(err)
+	}()
+	opts := SummaryOptions{PVariance: 2, OVariance: 4}
+	streamed, err := SummarizeStream(pr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(saveBytes(t, streamed), saveBytes(t, parsed.BuildSummary(opts))) {
+		t.Fatal("summary of a single-use stream saves other bytes than the parsed document's")
 	}
 }
 
