@@ -16,6 +16,7 @@ import (
 	"sync"
 	"testing"
 
+	"xpathest/internal/datagen"
 	"xpathest/internal/experiments"
 )
 
@@ -272,6 +273,24 @@ func BenchmarkSummarySaveLoad(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := ReadSummary(&buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkParseDocument times the one scan that parses, labels and
+// collects perfbench's XMark document (datagen seed 1, scale 0.125).
+func BenchmarkParseDocument(b *testing.B) {
+	var buf bytes.Buffer
+	if err := datagen.XMark(datagen.Config{Seed: 1, Scale: 0.125}).WriteXML(&buf, false); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ParseDocument(bytes.NewReader(data)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -425,6 +425,33 @@ func TestRequestTimeout(t *testing.T) {
 	}
 }
 
+// TestSummarizeDocumentErrors: a document the parser refuses is the
+// client's fault (400 malformed_document), an XML declaration of
+// another version or encoding included, and a body over
+// MaxDocumentBytes is cut by the server's body limit (413).
+func TestSummarizeDocumentErrors(t *testing.T) {
+	wellFormed := "<r>" + strings.Repeat("<a>text</a>", 27) + "</r>"
+	for _, c := range []struct {
+		name, doc string
+		maxBytes  int64
+		code      int
+		kind      string
+	}{
+		{"unclosed", "<a><b>unclosed", 0, http.StatusBadRequest, "malformed_document"},
+		{"version", `<?xml version="1.1"?><a><b/></a>`, 0, http.StatusBadRequest, "malformed_document"},
+		{"encoding", `<?xml version="1.0" encoding="ISO-8859-1"?><a><b/></a>`, 0, http.StatusBadRequest, "malformed_document"},
+		{"body limit", wellFormed, 64, http.StatusRequestEntityTooLarge, "limit_exceeded"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := startServer(t, Config{Limits: guard.Limits{MaxDocumentBytes: c.maxBytes}})
+			code, m := do(t, "POST", "http://"+s.Addr()+"/summarize?name=doc", strings.NewReader(c.doc))
+			if code != c.code || m["kind"] != c.kind {
+				t.Fatalf("%d-byte document: status %d body %v, want %d %s", len(c.doc), code, m, c.code, c.kind)
+			}
+		})
+	}
+}
+
 // TestUploadValidName rejects traversal-style names outright.
 func TestUploadValidName(t *testing.T) {
 	s := startServer(t, Config{})

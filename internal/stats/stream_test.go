@@ -140,6 +140,8 @@ func TestStreamErrors(t *testing.T) {
 		"<a/></a>",
 		"<a>",
 		"<a><b>",
+		`<?xml version="1.1"?><a><b/></a>`,
+		`<?xml version="1.0" encoding="ISO-8859-1"?><a><b/></a>`,
 	} {
 		if _, err := CollectStream(strings.NewReader(c)); !errors.Is(err, guard.ErrMalformedDocument) {
 			t.Errorf("CollectStream(%q) = %v, want ErrMalformedDocument", c, err)

@@ -8,6 +8,12 @@
 // query class studied, so only their byte volume is retained (it feeds
 // the dataset-size column of Table 1). Sibling order — the whole point
 // of the paper — is preserved exactly.
+//
+// Scan reads serialized XML with a byte-level tokenizer that follows
+// the rules of encoding/xml's strict decoder, over one read buffer that
+// grows only for a token longer than itself, so a document of any size
+// streams through it. Element names are interned: every node of a tag
+// shares one string.
 package xmltree
 
 import (
@@ -162,11 +168,12 @@ func Parse(r io.Reader) (*Document, error) {
 }
 
 // ParseContext is Parse under a context and resource limits: Scan
-// checks nesting depth, element count and consumed bytes as the token
-// stream is read, so a hostile document (e.g. a deep-nesting bomb)
-// fails fast with an error wrapping guard.ErrLimitExceeded instead of
-// exhausting the process; cancellation is honored at token-loop
-// boundaries with an error wrapping guard.ErrCanceled. A non-nil h
+// checks nesting depth, element count and bytes read as it tokenizes
+// r, so a hostile document (e.g. a deep-nesting bomb) fails fast with
+// an error wrapping guard.ErrLimitExceeded instead of exhausting the
+// process; cancellation is honored every ctxCheckEvery tokens with an
+// error wrapping guard.ErrCanceled, and an error from r comes back
+// wrapped, not as a malformed document. A non-nil h
 // receives every event after the tree builder, so a consumer of the
 // document (the summary build labels and collects it) reads it in the
 // same pass; an error from h.Close stops the parse.

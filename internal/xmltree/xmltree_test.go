@@ -102,7 +102,7 @@ func TestParseText(t *testing.T) {
 
 // TestParseErrors pins the error kind of malformed input. The
 // streaming collector's TestStreamErrors runs the same inputs through
-// its two Scan passes.
+// its one Scan.
 func TestParseErrors(t *testing.T) {
 	cases := []struct {
 		name, in string
@@ -121,6 +121,9 @@ func TestParseErrors(t *testing.T) {
 		{"end after empty root", "<a/></a>"},
 		{"unclosed root", "<a>"},
 		{"unclosed child", "<a><b>"},
+		// An XML declaration of another version or encoding.
+		{"xml version 1.1", `<?xml version="1.1"?><a><b/></a>`},
+		{"xml encoding latin1", `<?xml version="1.0" encoding="ISO-8859-1"?><a><b/></a>`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -367,16 +370,5 @@ func TestLargeDocumentDepth(t *testing.T) {
 	doc.Walk(func(*Node) bool { count++; return true })
 	if count != depth {
 		t.Fatalf("walked %d nodes, want %d", count, depth)
-	}
-}
-
-func BenchmarkParse(b *testing.B) {
-	data := []byte(strings.Repeat(figure1XML, 1))
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Parse(bytes.NewReader(data)); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
